@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -76,10 +75,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def cmd_bounds(args) -> int:
         args.p,
         args.n,
         args.k,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
     )
     if args.json:
         _emit_json({"command": "bounds", **report.to_dict()})
@@ -283,7 +278,7 @@ def cmd_certify(args) -> int:
     cert = prove_infeasible(
         inst,
         paper_faithful=args.paper_faithful,
-        threads=args.threads if args.threads is not None else _default_threads(),
+        threads=args.threads,
     )
     if args.json:
         _emit_json({"command": "certify", **cert.to_dict()})

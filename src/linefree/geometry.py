@@ -2,9 +2,15 @@
 
 Points are tuples of coordinates in [0, p); the index of a point is its
 radix-p value with coordinate 0 least significant.  A direction is a
-nonzero vector normalized so that its first nonzero coordinate is 1;
-there are (p^n - 1)/(p - 1) of them, and each line is written as
-base + i*dir with base the least-index point on the line.
+nonzero vector normalized so that its first nonzero coordinate, the
+pivot, is 1; there are (p^n - 1)/(p - 1) of them, and each line is
+written as base + i*dir with base the least-index point on the line.
+
+Lines are named in closed form: the line with direction d through x has
+key x - x_pivot*d with the pivot coordinate dropped, in [0, p^(n-1)), and
+x's position on it is x_pivot; its point at position t is key + t*d.
+Keys and point lists are computed when asked for; nothing is kept per
+direction.
 """
 
 from __future__ import annotations
@@ -138,60 +144,62 @@ class _SpaceTables:
         self.n = n
         num = p**n
         self.powers = (p ** np.arange(n, dtype=np.int64)).astype(np.int64)
-        idx = np.arange(num, dtype=np.int64)
-        coords = np.empty((num, n), dtype=np.int64)
-        for j in range(n):
-            coords[:, j] = idx % p
-            idx = idx // p
-        self.coords = coords
-        dirs = []
+        self.coords = coords = np.arange(num, dtype=np.int64)[:, None] // self.powers % p
+        # directions in index order: the points whose first nonzero
+        # coordinate, the pivot, is 1
+        moved = coords != 0
+        pivots = np.argmax(moved, axis=1)
+        canonical = moved.any(axis=1) & (coords[np.arange(num), pivots] == 1)
+        self.dir_vecs = coords[canonical]
+        self.dir_pivots = pivots[canonical]
+        self.dir_pos = {tuple(int(c) for c in v): i for i, v in enumerate(self.dir_vecs)}
+        self._dir_last = n - 1 - np.argmax(self.dir_vecs[:, ::-1] != 0, axis=1)
+        last = zip(self.dir_vecs, self._dir_last)
+        self._dir_last_inv = np.asarray([pow(int(v[j]), p - 2, p) for v, j in last])
+
+    def key_blocks(self, pts: np.ndarray, block: int):
+        """Yield (dis, keys, pos) for blocks of at most `block` directions.
+
+        A block's directions dis share a pivot.  keys[b, j] names the line
+        through point pts[j] with direction dis[b]; pos[j] is its position.
+        """
+        p, n = self.p, self.n
+        x = self.coords[pts].astype(np.int32)  # keys are below p^(n-1) < 2^31
+        c = np.arange(p, dtype=np.int32)[:, None]
         for pivot in range(n):
-            # first nonzero coordinate is the pivot, normalized to 1
-            tail = n - pivot - 1
-            for rest in range(p**tail):
-                v = [0] * pivot + [1] + list(index_point(SpaceSpec(p, max(tail, 1)), rest)[:tail])
-                dirs.append(tuple(v[:n]))
-        dirs.sort(key=lambda v: int(np.dot(np.asarray(v, dtype=np.int64), self.powers)))
-        self.dir_vecs = np.asarray(dirs, dtype=np.int64)
-        self.dir_pivots = np.asarray(
-            [next(j for j, c in enumerate(v) if c) for v in dirs], dtype=np.int64
-        )
-        self.dir_pos = {tuple(int(c) for c in v): i for i, v in enumerate(dirs)}
-        # transversal point indices per pivot: points whose pivot coordinate is 0
-        self._transversals: dict[int, np.ndarray] = {}
-        self._line_cache: dict[int, np.ndarray] = {}
+            group = np.nonzero(self.dir_pivots == pivot)[0]
+            low = x[:, :pivot] @ self.powers[:pivot].astype(np.int32)
+            # terms[j][c]: coordinate j's key digit, placed, when d_j = c
+            terms = {j: (x[:, j] - c * x[:, pivot]) % p * p ** (j - 1) for j in range(pivot + 1, n)}
+            for lo in range(0, group.size, block):
+                dis = group[lo : lo + block]
+                keys = np.repeat(low[None, :], dis.size, axis=0)
+                for j, term in terms.items():
+                    keys += term[self.dir_vecs[dis, j]]
+                yield dis, keys, x[:, pivot]
 
-    def transversal(self, pivot: int) -> np.ndarray:
-        if pivot not in self._transversals:
-            sel = np.nonzero(self.coords[:, pivot] == 0)[0]
-            self._transversals[pivot] = sel.astype(np.int64)
-        return self._transversals[pivot]
+    def line_points(self, dis, keys, pos) -> np.ndarray:
+        """Index of the point at position pos on the line (dis, keys); broadcasts."""
+        dis, pos = np.asarray(dis), np.asarray(pos)
+        low = self.powers[self.dir_pivots[dis]]
+        start = keys % low + keys // low * (low * self.p)  # pivot coordinate 0
+        moved = self.coords[start] + pos[..., None] * self.dir_vecs[dis]
+        return moved % self.p @ self.powers
 
-    def successor(self, di: int) -> np.ndarray:
-        """Index permutation x -> x + d for direction number di."""
-        d = self.dir_vecs[di]
-        return ((self.coords + d) % self.p) @ self.powers
+    def line_base(self, dis, keys) -> np.ndarray:
+        """Least point index on each line (dis, keys): the point where the last
+        coordinate d moves, the most significant one that varies, is 0."""
+        c0 = self.coords[self.line_points(dis, keys, 0), self._dir_last[dis]]
+        return self.line_points(dis, keys, -c0 * self._dir_last_inv[dis] % self.p)
 
     def line_matrix(self, di: int) -> np.ndarray:
-        """(p, p^{n-1}) indices; column c is one line with direction di.
+        """(p, p^{n-1}) int32 indices of the lines with direction di.
 
-        Row i holds t + i*d over the transversal t.  Columns are in
-        ascending order of their row-0 (transversal) point index, not of
-        the line's least point.
+        Entry (t, key) is the point at position t on the line named by key.
+        Built from the closed form on every call; nothing is cached.
         """
-        cached = self._line_cache.get(di)
-        if cached is not None:
-            return cached
-        p = self.p
-        start = self.transversal(int(self.dir_pivots[di]))
-        mat = np.empty((p, start.size), dtype=np.int32)
-        mat[0] = start
-        step = self.successor(di)
-        for i in range(1, p):
-            mat[i] = step[mat[i - 1]]
-        if self.p**self.n <= 2**15:  # small spaces: keep tables warm
-            self._line_cache[di] = mat
-        return mat
+        keys, pos = np.arange(self.p ** (self.n - 1)), np.arange(self.p)[:, None]
+        return self.line_points(di, keys, pos).astype(np.int32)
 
 
 @lru_cache(maxsize=64)
@@ -214,12 +222,16 @@ def _budget_check(space: SpaceSpec, budget: int, what: str) -> None:
         )
 
 
-def _line_from_column(space: SpaceSpec, t: _SpaceTables, di: int, col: np.ndarray) -> Line:
-    base_pos = int(np.argmin(col))
-    pts = tuple(int(col[(base_pos + i) % space.p]) for i in range(space.p))
-    base = index_point(space, pts[0])
+def _walk(t: _SpaceTables, idx: int, di: int) -> np.ndarray:
+    """The p point indices idx + i*d, i = 0..p-1, for direction number di."""
+    return (t.coords[idx] + np.arange(t.p)[:, None] * t.dir_vecs[di]) % t.p @ t.powers
+
+
+def _line(space: SpaceSpec, t: _SpaceTables, di: int, idx: int) -> Line:
+    """The line with direction number di through point idx, from its base."""
+    pts = _walk(t, int(_walk(t, idx, di).min()), di)
     d = tuple(int(c) for c in t.dir_vecs[di])
-    return Line(base=base, dir=d, points=pts)
+    return Line(base=index_point(space, int(pts[0])), dir=d, points=tuple(int(q) for q in pts))
 
 
 def enumerate_lines(space: SpaceSpec, budget: int = DEFAULT_INDEX_BUDGET) -> list[Line]:
@@ -228,10 +240,8 @@ def enumerate_lines(space: SpaceSpec, budget: int = DEFAULT_INDEX_BUDGET) -> lis
     t = space_tables(space.p, space.n)
     out = []
     for di in range(len(t.dir_vecs)):
-        mat = t.line_matrix(di)
-        order = np.argsort(mat.min(axis=0), kind="stable")
-        for c in order:
-            out.append(_line_from_column(space, t, di, mat[:, c]))
+        for base in np.sort(t.line_matrix(di).min(axis=0)):
+            out.append(_line(space, t, di, int(base)))
     return out
 
 
@@ -239,14 +249,7 @@ def line_through(space: SpaceSpec, point: tuple[int, ...], vec: tuple[int, ...])
     """The unique line through a point with the given (nonzero) direction."""
     d = canonical_direction(space, vec)
     t = space_tables(space.p, space.n)
-    di = t.dir_pos[d]
-    idx = point_index(space, point)
-    col = np.empty(space.p, dtype=np.int64)
-    col[0] = idx
-    step = t.successor(di)
-    for i in range(1, space.p):
-        col[i] = step[col[i - 1]]
-    return _line_from_column(space, t, di, col)
+    return _line(space, t, t.dir_pos[d], point_index(space, point))
 
 
 def parallel_classes(space: SpaceSpec) -> list[ParallelClass]:
@@ -274,15 +277,11 @@ class IncidenceIndex:
         t = space_tables(space.p, space.n)
         self._tables = t
         p = space.p
+        self._per_dir = space.num_points // p  # lines in each direction
         blocks = []
-        self._dir_offsets = np.empty(len(t.dir_vecs) + 1, dtype=np.int64)
-        self._dir_offsets[0] = 0
         for di in range(len(t.dir_vecs)):
             mat = t.line_matrix(di)
-            bases = mat.min(axis=0)
-            order = np.argsort(bases, kind="stable")
-            blocks.append(mat[:, order].T)  # (lines_in_dir, p)
-            self._dir_offsets[di + 1] = self._dir_offsets[di] + order.size
+            blocks.append(mat[:, np.argsort(mat.min(axis=0), kind="stable")].T)
         self.line_points = np.vstack(blocks)  # (num_lines, p), unordered within a row
         self._line_base = self.line_points.min(axis=1)
         num_lines, _ = self.line_points.shape
@@ -298,20 +297,9 @@ class IncidenceIndex:
         return int(self.line_points.shape[0])
 
     def line(self, line_id: int) -> Line:
-        di = int(np.searchsorted(self._dir_offsets, line_id, side="right")) - 1
-        col = self.line_points[line_id]
-        t = self._tables
+        di = line_id // self._per_dir
         # restore traversal order from the unordered point set
-        base_idx = int(col.min())
-        step = t.successor(di)
-        pts = [base_idx]
-        for _ in range(self.space.p - 1):
-            pts.append(int(step[pts[-1]]))
-        return Line(
-            base=index_point(self.space, base_idx),
-            dir=tuple(int(c) for c in t.dir_vecs[di]),
-            points=tuple(pts),
-        )
+        return _line(self.space, self._tables, di, int(self.line_points[line_id, 0]))
 
     def lines_through(self, idx: int) -> np.ndarray:
         lo, hi = self._through_offsets[idx], self._through_offsets[idx + 1]
@@ -326,13 +314,9 @@ class IncidenceIndex:
         b = t.coords[j]
         d = canonical_direction(space, tuple(int(c) for c in (b - a) % space.p))
         di = t.dir_pos[d]
-        step = t.successor(di)
-        cur, base = i, i
-        for _ in range(space.p - 1):
-            cur = int(step[cur])
-            base = min(base, cur)
-        lo, hi = self._dir_offsets[di], self._dir_offsets[di + 1]
-        pos = int(np.searchsorted(self._line_base[lo:hi], base))
+        base = int(_walk(t, i, di).min())
+        lo = di * self._per_dir
+        pos = int(np.searchsorted(self._line_base[lo : lo + self._per_dir], base))
         return int(lo + pos)
 
     def planes_of_line(self, line_id: int) -> tuple[int, ...]:

@@ -10,10 +10,11 @@ deterministic for a fixed configuration, including the reported set.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -128,13 +129,9 @@ class _WindowSystem:
         point_windows: list[list[int]] = [[] for _ in range(num)]
         windows: list[tuple[int, ...]] = []
         line_points: list[tuple[int, ...]] = []
-        num_lines = 0
         for di in range(space.num_directions):
-            mat = t.line_matrix(di)
-            for c in range(mat.shape[1]):
-                col = mat[:, c]
-                lid = num_lines
-                num_lines += 1
+            for col in t.line_matrix(di).T:
+                lid = len(line_points)
                 line_points.append(tuple(sorted(int(q) for q in col)))
                 for q in col:
                     point_lines[int(q)].append(lid)
@@ -144,7 +141,7 @@ class _WindowSystem:
                     windows.append(w)
                     for q in w:
                         point_windows[q].append(wid)
-        self.num_lines = num_lines
+        self.num_lines = len(line_points)
         self.windows = tuple(windows)
         self.line_points = tuple(line_points)
         self.point_lines = tuple(tuple(v) for v in point_lines)
@@ -166,12 +163,30 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Budget:
+    """Node allowance and deadline of one search call, shared by its subtrees;
+    engines draw nodes in grants, so the lock is taken once per grant."""
+
+    def __init__(self, nodes: int, seconds: float | None):
+        self.nodes, self.lock = nodes, threading.Lock()
+        self.deadline = time.monotonic() + seconds if seconds else None
+
+    def draw(self) -> int:
+        """Up to 2048 nodes; 0 once the allowance is spent or time is up."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return 0
+        with self.lock:
+            grant = min(2048, self.nodes)
+            self.nodes -= grant
+        return grant
+
+
 class _Engine:
     """One depth-first exploration over a fixed prefix of decisions."""
 
     UNDEC, IN, OUT = 0, 1, 2
 
-    def __init__(self, ws: _WindowSystem, cfg: SearchConfig, best_size: int):
+    def __init__(self, ws: _WindowSystem, cfg: SearchConfig, best_size: int, budget=None):
         self.ws = ws
         self.cfg = cfg
         self.k = ws.k
@@ -192,10 +207,8 @@ class _Engine:
         self.best_size = best_size
         self.best_set: tuple[int, ...] | None = None
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + cfg.time_budget if cfg.time_budget else None
-        )
-        self.exhausted = True
+        self.budget = budget
+        self.grant = 0  # nodes drawn from the budget and not yet used
 
     # -- state transitions ------------------------------------------------
     def _set_in(self, q: int) -> bool:
@@ -326,11 +339,11 @@ class _Engine:
 
     def dfs(self) -> None:
         self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
-            raise _BudgetExhausted
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
+        if not self.grant:
+            self.grant = self.budget.draw()
+            if not self.grant:
                 raise _BudgetExhausted
+        self.grant -= 1
         if self.undec_total == 0:
             self._record_if_better(tuple(sorted(self.chosen)))
             return
@@ -382,9 +395,10 @@ def _run_tree(
     cfg: SearchConfig,
     start_size: int,
     prefix: tuple[tuple[int, int], ...],
+    budget: _Budget,
 ) -> tuple[int, tuple[int, ...] | None, int, bool]:
     """(best_size, best_set, nodes, exhausted) for one decision subtree."""
-    eng = _Engine(ws, cfg, start_size)
+    eng = _Engine(ws, cfg, start_size, budget)
     if not eng.run_prefix(prefix):
         return start_size, None, 0, True
     try:
@@ -392,6 +406,9 @@ def _run_tree(
         return eng.best_size, eng.best_set, eng.nodes, True
     except _BudgetExhausted:
         return eng.best_size, eng.best_set, eng.nodes, False
+    finally:
+        with budget.lock:  # return the unused part of the last grant
+            budget.nodes += eng.grant
 
 
 def _root_prefixes(
@@ -436,6 +453,7 @@ def max_free_exact(
         cfg = replace(cfg, **overrides)
     ws = _window_system(p, n, k)
     t0 = time.monotonic()
+    budget = _Budget(cfg.node_budget, cfg.time_budget)
 
     if cfg.warm is not None:
         if cfg.warm.space != space:
@@ -446,7 +464,7 @@ def max_free_exact(
     else:
         warm_idx = _box_indices(p, n, k - 1)
     best_size = len(warm_idx)
-    best_set: tuple[int, ...] | None = warm_idx
+    best_set = warm_idx
 
     # Forcing frame points out restricts the tree but not the optimum: a
     # warm incumbent containing them still supplies a valid size bound
@@ -457,27 +475,20 @@ def max_free_exact(
         prefix_root = tuple((2, q) for q in frame)
 
     threads = cfg.threads or 1
+    run = partial(_run_tree, ws, cfg, best_size, budget=budget)
     if threads > 1:
         prefixes = [prefix_root + pre for pre in _root_prefixes(ws, cfg, threads * 4)]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(
-                ex.map(lambda pre: _run_tree(ws, cfg, best_size, pre), prefixes)
-            )
-        nodes = sum(o[2] for o in outs)
-        exhausted = all(o[3] for o in outs)
-        for size, st, _, _ in outs:
-            if st is None:
-                continue
-            if size > best_size or (
-                size == best_size and (best_set is None or st < best_set)
-            ):
-                best_size, best_set = size, st
+            outs = list(ex.map(run, prefixes))
     else:
-        size, st, nodes, exhausted = _run_tree(ws, cfg, best_size, prefix_root)
-        if st is not None:
+        outs = [run(prefix_root)]
+    nodes = sum(o[2] for o in outs)
+    exhausted = all(o[3] for o in outs)
+    for size, st, _, _ in outs:
+        if st is not None and (size > best_size or (size == best_size and st < best_set)):
             best_size, best_set = size, st
 
-    best = PointSet.from_indices(space, best_set or ())
+    best = PointSet.from_indices(space, best_set)
     if find_progression(best, k) is not None:
         raise AssertionError("search produced a set with a k-term progression")
     return SearchResult(

@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import SpaceSpec, canonical_direction, index_point, space_tables
 from .pointset import PointSet
 
+_BLOCK = 2**17  # entries held per block of directions
+
 
 @dataclass(frozen=True)
 class ProgressionWitness:
@@ -41,9 +43,17 @@ class ProgressionWitness:
         return out
 
 
-def _check_k(space: SpaceSpec, k: int) -> None:
-    if not 3 <= k <= space.p:
-        raise ValueError(f"k must be in [3, p], got k={k} for p={space.p}")
+def _line_counts(s: PointSet):
+    """Yield (dis, counts[b, key] = |S & line|), counting the smaller of S and ~S."""
+    space, p = s.space, s.space.p
+    lines = space.num_points // p  # per direction
+    inside = 2 * s.size <= space.num_points
+    pts = np.nonzero(s.bits if inside else ~s.bits)[0]
+    t = space_tables(p, space.n)
+    for dis, keys, _ in t.key_blocks(pts, max(1, _BLOCK // max(pts.size, lines))):
+        keys = keys + np.arange(dis.size)[:, None] * lines
+        counts = np.bincount(keys.ravel(), minlength=dis.size * lines).reshape(dis.size, lines)
+        yield dis, counts if inside else p - counts
 
 
 def find_progression(s: PointSet, k: int | None = None) -> ProgressionWitness | None:
@@ -51,46 +61,45 @@ def find_progression(s: PointSet, k: int | None = None) -> ProgressionWitness | 
 
     The least witness minimizes (base index, step vector index); every
     reversal pair is considered, so the reported representation is
-    deterministic.
+    deterministic.  For k = p the step is the line's canonical direction
+    and the base its least point.
     """
     space = s.space
-    p = space.p
+    p, num = space.p, space.num_points
     if k is None:
         k = p
-    _check_k(space, k)
+    if not 3 <= k <= p:
+        raise ValueError(f"k must be in [3, p], got k={k} for p={p}")
     t = space_tables(space.p, space.n)
-    bits = s.bits
-    best: tuple[int, int] | None = None  # (base index, step vector index)
-    for di in range(len(t.dir_vecs)):
-        mat = t.line_matrix(di)
-        member = bits[mat]  # (p, lines in this direction)
-        if k == p:
-            full = member.all(axis=0)
-            if full.any():
-                bases = mat[:, full].min(axis=0)
-                cand = (int(bases.min()), int(t.dir_vecs[di] @ t.powers))
-                if best is None or cand < best:
-                    best = cand
-        else:
-            d = t.dir_vecs[di]
+    best = num * num  # base index * num + step index; above every witness
+    if k == p:
+        for dis, counts in _line_counts(s):
+            b, key = np.divmod(np.flatnonzero(counts == p), counts.shape[1])
+            if b.size:
+                steps = t.dir_vecs[dis[b]] @ t.powers
+                best = int((t.line_base(dis[b], key) * num + steps).min(initial=best))
+    else:
+        lines = num // p
+        for dis, keys, pos in t.key_blocks(s.indices(), max(1, _BLOCK // num)):
+            # member[b, i, key]: the point at position i mod p is in S;
+            # positions run twice, so a cyclic shift is a slice
+            member = np.zeros((dis.size, 2 * p, lines), dtype=bool)
+            member[np.arange(dis.size)[:, None], pos, keys] = True
+            member[:, p:] = member[:, :p]
             for lam in range(1, p):
-                step_idx = int((d * lam % p) @ t.powers)
-                pos = (np.arange(p)[None, :] + lam * np.arange(k)[:, None]) % p
-                runs = member[pos].all(axis=0)  # (p starts, lines)
-                if runs.any():
-                    js, cols = np.nonzero(runs)
-                    bases = mat[js, cols]
-                    pick = int(bases.argmin())
-                    cand = (int(bases[pick]), step_idx)
-                    if best is None or cand < best:
-                        best = cand
-    if best is None:
+                runs = member[:, :p].copy()
+                for i in range(1, k):
+                    shift = lam * i % p
+                    runs &= member[:, shift : shift + p]
+                b, start, key = np.unravel_index(np.flatnonzero(runs), runs.shape)
+                if b.size:
+                    steps = t.dir_vecs[dis[b]] * lam % p @ t.powers
+                    bases = t.line_points(dis[b], key, start)
+                    best = int((bases * num + steps).min(initial=best))
+    if best == num * num:
         return None
-    base_idx, step_idx = best
-    step_vec = index_point(space, step_idx)
-    return ProgressionWitness(
-        base=index_point(space, base_idx), step=step_vec, k=k
-    )
+    base_idx, step_idx = divmod(best, num)
+    return ProgressionWitness(index_point(space, base_idx), index_point(space, step_idx), k)
 
 
 @dataclass(frozen=True)
@@ -114,14 +123,10 @@ class LineProfile:
 
 
 def line_profile(s: PointSet) -> LineProfile:
-    space = s.space
-    t = space_tables(space.p, space.n)
-    x = np.zeros(space.p + 1, dtype=np.int64)
-    for di in range(len(t.dir_vecs)):
-        mat = t.line_matrix(di)
-        counts = s.bits[mat].sum(axis=0)
-        x += np.bincount(counts, minlength=space.p + 1)
-    return LineProfile(space=space, x=tuple(int(v) for v in x))
+    x = np.zeros(s.space.p + 1, dtype=np.int64)
+    for _, counts in _line_counts(s):
+        x += np.bincount(counts.ravel(), minlength=s.space.p + 1)
+    return LineProfile(space=s.space, x=tuple(int(v) for v in x))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from linefree.constructions import box
@@ -112,6 +114,24 @@ def test_time_budget_exhaustion():
     assert not r.optimal
     assert r.size >= 36  # warm box (p-1)^2
     assert r.elapsed < 5.0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_budgets_hold_per_call_at_any_thread_count(threads):
+    # every subtree draws from one allowance and one deadline; a short
+    # switch interval makes lost updates to the shared allowance likely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
+        by_time = max_free_exact(7, 2, 7, threads=threads, time_budget=0.5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not by_nodes.optimal and not by_time.optimal
+    # each of the threads * 4 subtrees may count the node that found the
+    # allowance spent
+    assert by_nodes.nodes <= 20_000 + 4 * threads
+    assert by_time.elapsed < 1.5
 
 
 def test_config_validation():

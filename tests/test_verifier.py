@@ -5,11 +5,15 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_set
+from linefree import verifier
 from linefree.constructions import hypercube, load_reference_set
-from linefree.geometry import SpaceSpec
+from linefree.geometry import SpaceSpec, directions, index_point
 from linefree.pointset import PointSet
 from linefree.verifier import (
     LineBounds,
@@ -92,6 +96,87 @@ def test_single_line_is_caught_for_every_k():
     line = PointSet.from_points(space, [(i, (2 * i) % 7) for i in range(7)])
     for k in range(3, 8):
         assert find_progression(line, k) is not None
+
+
+# --- the line-key fast path against brute force ------------------------
+
+
+def _coords(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    coords = np.asarray([index_point(space, i) for i in range(space.num_points)])
+    return coords, space.p ** np.arange(space.n)
+
+
+def brute_least_witness(s: PointSet, k: int) -> tuple | None:
+    """Least (base, step) by index over every base and step, in order.
+
+    For k = p only canonical steps count: a full line is reported with
+    its canonical direction.
+    """
+    space = s.space
+    p = space.p
+    coords, powers = _coords(space)
+    if k == p:
+        steps = sorted(directions(space), key=lambda d: int(np.dot(d, powers)))
+    else:
+        steps = [index_point(space, i) for i in range(1, space.num_points)]
+    best = None
+    for step in steps:
+        hit = np.ones(space.num_points, dtype=bool)
+        for i in range(k):
+            hit &= s.bits[(coords + i * np.asarray(step)) % p @ powers]
+        if hit.any():
+            cand = (int(np.argmax(hit)), int(np.dot(step, powers)))
+            best = cand if best is None else min(best, cand)
+    if best is None:
+        return None
+    return index_point(space, best[0]), index_point(space, best[1])
+
+
+def brute_line_profile(s: PointSet) -> tuple[int, ...]:
+    """Per-line counts, each line counted at its least point."""
+    space = s.space
+    p = space.p
+    coords, powers = _coords(space)
+    x = [0] * (p + 1)
+    for d in directions(space):
+        line = (coords[:, None, :] + np.arange(p)[:, None] * np.asarray(d)) % p @ powers
+        least = line.min(axis=1) == np.arange(space.num_points)
+        for c in s.bits[line[least]].sum(axis=1):
+            x[c] += 1
+    return tuple(x)
+
+
+def _check_against_brute_force(s: PointSet) -> None:
+    for k in range(3, s.space.p + 1):
+        w = find_progression(s, k)
+        got = None if w is None else (w.base, w.step)
+        assert got == brute_least_witness(s, k), k
+    assert line_profile(s).x == brute_line_profile(s)
+
+
+small_sets = st.builds(
+    lambda pn, density, seed: random_set(*pn, density, np.random.default_rng(seed)),
+    st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]),
+    st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sets)
+def test_least_witness_and_profile_match_brute_force(s):
+    _check_against_brute_force(s)
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+def test_small_blocks_match_brute_force(density, rng, monkeypatch):
+    # one space's worth of entries: k < p runs one direction per block,
+    # k = p a few, so blocks end inside a pivot group; densities on both
+    # sides of 1/2 switch between counting S and its complement
+    space = SpaceSpec(7, 3)
+    monkeypatch.setattr(verifier, "_BLOCK", space.num_points)
+    for _ in range(2):
+        _check_against_brute_force(random_set(7, 3, density, rng))
 
 
 # --- profiles and identities ---------------------------------------------
