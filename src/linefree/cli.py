@@ -449,7 +449,13 @@ _HANDLERS = {
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--timing", action="store_true", help="include wall-clock fields")
-    sp.add_argument("--threads", type=int, default=None, metavar="N")
+    sp.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        metavar="N",
+        help="search: N worker processes; bounds/certify: N threads for margin batches",
+    )
     sp.add_argument(
         "--selftest",
         action="store_true",

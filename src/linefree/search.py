@@ -10,11 +10,12 @@ deterministic for a fixed configuration, including the reported set.
 
 from __future__ import annotations
 
-import threading
+import ctypes
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,13 @@ class SearchConfig:
     ascending index order.  bound: "line-capacity" adds the per-line
     packing bound to the cardinality bound.  warm: optional starting
     incumbent (must verify k-progression-free).
+
+    threads: worker processes.  None or 1 searches in the calling
+    process; more forks that many workers (POSIX) over about 16 subtrees
+    each.  The node and time budgets hold for the whole call, and the
+    reported set is the first maximum set in depth-first order (a tie
+    never replaces an earlier set), so size and set are the same at any
+    worker count.
 
     fix_translation: sound symmetry breaking that pins an affine frame.
     The complement C of any k-progression-free set S is nonempty (S
@@ -163,22 +171,38 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Budget:
-    """Node allowance and deadline of one search call, shared by its subtrees;
-    engines draw nodes in grants, so the lock is taken once per grant."""
+_GRANT = 2048  # nodes an engine draws from the budget at a time
+_SUBTREES_PER_WORKER = 16  # enough to even out subtrees of unequal size
 
-    def __init__(self, nodes: int, seconds: float | None):
-        self.nodes, self.lock = nodes, threading.Lock()
-        self.deadline = time.monotonic() + seconds if seconds else None
+
+class _Budget:
+    """Node allowance and deadline of one search call, shared by its subtrees.
+
+    Engines draw nodes in grants, so the allowance is touched once per
+    grant.  Given a multiprocessing context, the allowance lives in shared
+    memory under a process lock, for forked workers; the deadline is one
+    absolute time.monotonic() value, which every process reads alike.
+    """
+
+    def __init__(self, nodes: int, deadline: float | None, mp=None):
+        self.deadline = deadline
+        if mp is None:
+            self.left, self.lock = ctypes.c_int64(nodes), nullcontext()
+        else:
+            self.left, self.lock = mp.RawValue(ctypes.c_int64, nodes), mp.Lock()
 
     def draw(self) -> int:
-        """Up to 2048 nodes; 0 once the allowance is spent or time is up."""
+        """Up to _GRANT nodes; 0 once the allowance is spent or time is up."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             return 0
         with self.lock:
-            grant = min(2048, self.nodes)
-            self.nodes -= grant
+            grant = min(_GRANT, self.left.value)
+            self.left.value -= grant
         return grant
+
+    def give_back(self, nodes: int) -> None:
+        with self.lock:
+            self.left.value += nodes
 
 
 class _Engine:
@@ -327,35 +351,31 @@ class _Engine:
         return best_q
 
     # -- search -------------------------------------------------------------
-    def _record_if_better(self, cand: tuple[int, ...]) -> None:
-        size = len(cand)
-        if size > self.best_size or (
-            size == self.best_size
-            and self.best_set is not None
-            and cand < self.best_set
-        ):
-            self.best_size = size
-            self.best_set = cand
-
-    def dfs(self) -> None:
-        self.nodes += 1
-        if not self.grant:
-            self.grant = self.budget.draw()
-            if not self.grant:
-                raise _BudgetExhausted
-        self.grant -= 1
+    def _leaf(self) -> tuple[int, ...] | None:
+        """The set this node completes to if it is a leaf, else None."""
         if self.undec_total == 0:
-            self._record_if_better(tuple(sorted(self.chosen)))
-            return
+            return tuple(sorted(self.chosen))
         if self.k >= self.ws.p - 1 and self.ws.n > 1 and max(self.class_need) == 0:
             # for k in {p-1, p} the only constraint is the per-line cap
             # (every (p-1)-subset of a line is a progression), and every
             # line already has its full quota of exclusions, so taking
             # every undecided point is optimal here
             st = self.status
-            cand = sorted(self.chosen)
-            cand.extend(q for q in range(self.ws.num_points) if st[q] == self.UNDEC)
-            self._record_if_better(tuple(sorted(cand)))
+            cand = self.chosen + [q for q in range(self.ws.num_points) if st[q] == self.UNDEC]
+            return tuple(sorted(cand))
+        return None
+
+    def dfs(self) -> None:
+        if not self.grant:
+            self.grant = self.budget.draw()
+            if not self.grant:
+                raise _BudgetExhausted
+        self.grant -= 1
+        self.nodes += 1
+        leaf = self._leaf()
+        if leaf is not None:
+            if len(leaf) > self.best_size:  # a tie never replaces
+                self.best_size, self.best_set = len(leaf), leaf
             return
         if self.cur_in + self._upper_extra() <= self.best_size:
             return
@@ -390,12 +410,25 @@ def _box_indices(p: int, n: int, side: int) -> tuple[int, ...]:
     return tuple(int(i) for i in sel)
 
 
+def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Decisions every search starts from: the fix_translation frame, if set.
+
+    Forcing frame points out restricts the tree but not the optimum: a
+    warm incumbent containing them still supplies a valid size bound and
+    is returned as-is when nothing larger exists.
+    """
+    if not cfg.fix_translation:
+        return ()
+    frame = (0,) if n == 1 else (0, 1, p)
+    return tuple((2, q) for q in frame)
+
+
 def _run_tree(
     ws: _WindowSystem,
     cfg: SearchConfig,
     start_size: int,
-    prefix: tuple[tuple[int, int], ...],
     budget: _Budget,
+    prefix: tuple[tuple[int, int], ...],
 ) -> tuple[int, tuple[int, ...] | None, int, bool]:
     """(best_size, best_set, nodes, exhausted) for one decision subtree."""
     eng = _Engine(ws, cfg, start_size, budget)
@@ -407,31 +440,66 @@ def _run_tree(
     except _BudgetExhausted:
         return eng.best_size, eng.best_set, eng.nodes, False
     finally:
-        with budget.lock:  # return the unused part of the last grant
-            budget.nodes += eng.grant
+        budget.give_back(eng.grant)  # the unused part of the last grant
 
 
 def _root_prefixes(
-    ws: _WindowSystem, cfg: SearchConfig, want: int
+    ws: _WindowSystem, cfg: SearchConfig, workers: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Split the root into >= want disjoint decision prefixes.
+    """Split the tree below the frame into about 16 live subtrees per worker.
 
-    Expands the in/out decision tree breadth-first on the engine's own
-    pick order, so the union of subtrees is exactly the full tree.
+    Expands the in/out decisions breadth-first on the engine's own pick
+    order, dropping contradictory prefixes and keeping leaves whole, so
+    the union of subtrees is exactly the serial tree.  The prefixes come
+    back in depth-first order (in before out).
     """
-    frontier: list[tuple[tuple[int, int], ...]] = [()]
-    while len(frontier) < want:
+    frontier = deque([_frame_prefix(cfg, ws.p, ws.n)])
+    leaves: list[tuple[tuple[int, int], ...]] = []
+    while frontier and len(leaves) + len(frontier) < workers * _SUBTREES_PER_WORKER:
+        base = frontier.popleft()
         probe = _Engine(ws, cfg, -1)
-        base = frontier.pop(0)
-        if not probe.run_prefix(base):
-            continue  # contradictory prefix: a leaf; drop it
-        if probe.undec_total == 0:
-            frontier.append(base)
-            break
+        probe.run_prefix(base)  # live: the frame holds only exclusions
+        if probe._leaf() is not None:
+            leaves.append(base)
+            continue
         q = probe._pick()
-        frontier.append(base + ((1, q),))
-        frontier.append(base + ((2, q),))
-    return frontier
+        for op in (1, 2):
+            child = base + ((op, q),)
+            if _Engine(ws, cfg, -1).run_prefix(child):
+                frontier.append(child)
+    # siblings differ first in op at the same point, and 1 (in) < 2 (out)
+    return sorted(leaves + list(frontier))
+
+
+_worker_args: tuple = ()  # (ws, cfg, start_size, budget) in a forked worker
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _run_worker_tree(prefix: tuple[tuple[int, int], ...]):
+    return _run_tree(*_worker_args, prefix)
+
+
+def _run_workers(
+    ws: _WindowSystem, cfg: SearchConfig, start_size: int, deadline: float | None, workers: int
+) -> list[tuple[int, tuple[int, ...] | None, int, bool]]:
+    """_run_tree over the root subtrees on forked workers, in subtree order.
+
+    Forked workers inherit the window tables, the configuration and the
+    shared budget instead of rebuilding them; they run only the pure-Python
+    engine.  multiprocessing is imported here, not at module level, so
+    that importing linefree stays as cheap as a serial search needs.
+    """
+    import multiprocessing
+
+    mp = multiprocessing.get_context("fork")
+    budget = _Budget(cfg.node_budget, deadline, mp)
+    prefixes = _root_prefixes(ws, cfg, workers)
+    with mp.Pool(workers, _init_worker, (ws, cfg, start_size, budget)) as pool:
+        return list(pool.imap(_run_worker_tree, prefixes))
 
 
 def max_free_exact(
@@ -453,7 +521,7 @@ def max_free_exact(
         cfg = replace(cfg, **overrides)
     ws = _window_system(p, n, k)
     t0 = time.monotonic()
-    budget = _Budget(cfg.node_budget, cfg.time_budget)
+    deadline = t0 + cfg.time_budget if cfg.time_budget else None
 
     if cfg.warm is not None:
         if cfg.warm.space != space:
@@ -466,26 +534,16 @@ def max_free_exact(
     best_size = len(warm_idx)
     best_set = warm_idx
 
-    # Forcing frame points out restricts the tree but not the optimum: a
-    # warm incumbent containing them still supplies a valid size bound
-    # and is returned as-is when nothing larger exists.
-    prefix_root: tuple[tuple[int, int], ...] = ()
-    if cfg.fix_translation:
-        frame = (0,) if n == 1 else (0, 1, p)
-        prefix_root = tuple((2, q) for q in frame)
-
-    threads = cfg.threads or 1
-    run = partial(_run_tree, ws, cfg, best_size, budget=budget)
-    if threads > 1:
-        prefixes = [prefix_root + pre for pre in _root_prefixes(ws, cfg, threads * 4)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            outs = list(ex.map(run, prefixes))
+    workers = cfg.threads or 1
+    if workers > 1:
+        outs = _run_workers(ws, cfg, best_size, deadline, workers)
     else:
-        outs = [run(prefix_root)]
+        budget = _Budget(cfg.node_budget, deadline)
+        outs = [_run_tree(ws, cfg, best_size, budget, _frame_prefix(cfg, p, n))]
     nodes = sum(o[2] for o in outs)
     exhausted = all(o[3] for o in outs)
-    for size, st, _, _ in outs:
-        if st is not None and (size > best_size or (size == best_size and st < best_set)):
+    for size, st, _, _ in outs:  # the first subtree that reaches the maximum
+        if size > best_size:
             best_size, best_set = size, st
 
     best = PointSet.from_indices(space, best_set)

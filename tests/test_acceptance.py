@@ -134,7 +134,8 @@ def test_criterion_3_f7_plane_k7():
 
 
 def test_criterion_3_f7_plane_k6():
-    r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000)
+    # the longest proof of the suite; two worker processes halve its time
+    r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000, threads=2)
     assert r.size == 29 and r.optimal
     assert find_progression(r.best, 6) is None
     assert r.elapsed < 7200.0

@@ -1,11 +1,15 @@
-"""Exact branch-and-bound search: pins, budgets, warm starts, threads."""
+"""Exact branch-and-bound search: pins, budgets, warm starts, workers."""
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from linefree import search
 from linefree.constructions import box
 from linefree.geometry import SpaceSpec
 from linefree.pointset import PointSet
@@ -118,19 +122,12 @@ def test_time_budget_exhaustion():
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_budgets_hold_per_call_at_any_thread_count(threads):
-    # every subtree draws from one allowance and one deadline; a short
-    # switch interval makes lost updates to the shared allowance likely
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
-        by_time = max_free_exact(7, 2, 7, threads=threads, time_budget=0.5)
-    finally:
-        sys.setswitchinterval(interval)
+    # every subtree draws from one allowance and one deadline, and a node
+    # counts only once granted, so no worker count overdraws the budget
+    by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
+    by_time = max_free_exact(7, 2, 7, threads=threads, time_budget=0.5)
     assert not by_nodes.optimal and not by_time.optimal
-    # each of the threads * 4 subtrees may count the node that found the
-    # allowance spent
-    assert by_nodes.nodes <= 20_000 + 4 * threads
+    assert by_nodes.nodes <= 20_000
     assert by_time.elapsed < 1.5
 
 
@@ -168,16 +165,57 @@ def test_warm_start_lower_bounds_the_answer():
     assert r2.size == 16 and r2.optimal
 
 
-# --- threads ---------------------------------------------------------------------
+# --- worker processes ---------------------------------------------------------------
 
 
-def test_thread_counts_agree_on_value_and_set():
-    results = [max_free_exact(5, 2, 4, threads=t) for t in (None, 1, 2, 4)]
-    sizes = {r.size for r in results}
-    assert sizes == {11}
+@pytest.mark.parametrize("fix", [False, True])
+@pytest.mark.parametrize(
+    "p, n, k, size", [(5, 2, 3, 6), (5, 2, 4, 11), (5, 2, 5, 16), (3, 2, 3, 4), (3, 3, 3, 9)]
+)
+def test_thread_counts_agree_on_value_and_set(p, n, k, size, fix):
+    # the first maximum set in depth-first order, whatever the split
+    results = [max_free_exact(p, n, k, threads=t, fix_translation=fix) for t in (None, 1, 2, 4)]
+    assert {r.size for r in results} == {size}
     assert all(r.optimal for r in results)
-    sets = {r.best for r in results}
-    assert len(sets) == 1
+    assert len({r.best for r in results}) == 1
+
+
+def test_root_split_respects_the_frame():
+    # before, the split ignored the fix_translation frame and most
+    # subtrees contradicted it at once
+    cfg = SearchConfig(fix_translation=True)
+    ws = search._window_system(7, 2, 7)
+    frame = ((2, 0), (2, 1), (2, 7))
+    prefixes = search._root_prefixes(ws, cfg, 2)
+    assert len(prefixes) >= 2 * search._SUBTREES_PER_WORKER
+    assert prefixes == sorted(prefixes)  # depth-first: in before out
+    for pre in prefixes:
+        assert search._Engine(ws, cfg, -1).run_prefix(frame + pre)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    def fail(self):
+        raise RuntimeError(f"engine failed in process {os.getpid()}")
+
+    monkeypatch.setattr(search._Engine, "dfs", fail)
+    with pytest.raises(RuntimeError, match="engine failed in process") as err:
+        max_free_exact(5, 2, 4, threads=2)
+    assert str(os.getpid()) not in str(err.value)  # raised in a worker
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a search with more than one worker imports multiprocessing
+    src = Path(search.__file__).resolve().parents[1]
+    code = "import sys, linefree, linefree.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- heuristic mode ---------------------------------------------------------------
