@@ -443,7 +443,6 @@ def certified_upper(
     paper_faithful: bool = False,
     max_candidates: int = 500_000,
     max_nodes: int = 20_000_000,
-    threads: int | None = None,
 ) -> CertifiedResult:
     """Largest certified bound obtainable by refuting sizes downward.
 
@@ -463,7 +462,6 @@ def certified_upper(
             paper_faithful=paper_faithful,
             max_candidates=max_candidates,
             max_nodes=max_nodes,
-            threads=threads,
         )
         trace.append((t, cert.verdict))
         if cert.verdict != ct.INFEASIBLE:
@@ -518,7 +516,6 @@ def bounds_report(
     include_certified: bool = True,
     certify_steps: int = 2,
     paper_faithful: bool = False,
-    threads: int | None = None,
 ) -> BoundsReport:
     """Assemble lower and upper bounds for r_k(F_p^n).
 
@@ -580,7 +577,6 @@ def bounds_report(
                     start,
                     max_steps=certify_steps,
                     paper_faithful=paper_faithful,
-                    threads=threads,
                 )
                 for t, verdict in res.trace:
                     notes.append(f"certify target {t}: {verdict}")

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 import numpy as np
 
-from .geometry import is_prime
+from .geometry import ResourceBudgetError, is_prime
 from .verifier import degree_line_bound, lp_line_bounds
 
 INFEASIBLE = "INFEASIBLE"
@@ -63,6 +62,10 @@ PAPER_RICH_CAPS: dict[int, dict[int, int]] = {
 }
 
 ENGINE_VERSION = 1
+
+#: Bytes the candidate enumeration may hold in its state tables and in
+#: its candidate rows; a larger request raises ResourceBudgetError.
+ENUMERATION_BYTE_BUDGET = 2**29
 
 
 class NullSpaceError(ValueError):
@@ -393,6 +396,83 @@ def _margin_coefficients(
     return coeffs
 
 
+# The enumeration is the v1 depth-first search, which the digests pin.  It
+# picks n[nd-1] = 0..num_classes at the top, unfiltered; a call at level
+# i >= 1 with (classes_left cl, rhs_left rl) tries n[i] = v = 0..cl and
+# calls level i-1 with (cl - v, rl - c_i v) when that rl lies in
+# [cl * min(c_0..c_{i-1}), cl * max(c_0..c_{i-1})]; a call at level 0 is a
+# solution when c_0 * cl == rl.  Every call, leaves included, is a node.
+#
+# Both sweeps below run over the states (cl, s) with s = rl - cl * min(c),
+# one (num_classes + 1) x width table per level.  Choosing v moves a state
+# to (cl - v, s - v * (c_i - min(c))), so s never grows, and every state
+# that passes the window holds 0 <= s < width.
+
+
+def _enumeration_shape(
+    coeffs: tuple[int, ...], num_classes: int, rhs: int, cell_bytes: int, row_bytes: int = 0
+):
+    """(shifts, width, window, top values, top s) of the enumeration states.
+
+    window(i) marks the states that pass the interval test on entry to
+    level i; the top value t enters level nd-2 at (num_classes - t, top_s[t]).
+    Raises ResourceBudgetError when cell_bytes per state plus row_bytes
+    would exceed ENUMERATION_BYTE_BUDGET.
+    """
+    low = min(coeffs)
+    shifts = [c - low for c in coeffs]
+    lo = np.minimum.accumulate(shifts).tolist()
+    hi = np.maximum.accumulate(shifts).tolist()
+    width = max(rhs - num_classes * low + 1, 0)
+    need = (num_classes + 1) * width * cell_bytes + row_bytes
+    if need > ENUMERATION_BYTE_BUDGET:
+        raise ResourceBudgetError(
+            f"candidate enumeration needs about {need} bytes, "
+            f"over the budget of {ENUMERATION_BYTE_BUDGET}"
+        )
+    cl = np.arange(num_classes + 1)[:, None]
+    s = np.arange(width)[None, :]
+
+    def window(i: int) -> np.ndarray:
+        return (s >= cl * lo[i]) & (s <= cl * hi[i])
+
+    top = np.arange(num_classes + 1)
+    return shifts, width, window, top, (width - 1) - top * shifts[-1]
+
+
+def _count_enumeration(
+    coeffs: tuple[int, ...], num_classes: int, rhs: int, max_nodes: int
+) -> tuple[int, int]:
+    """(nodes, solutions) of the v1 search for len(coeffs) >= 2.
+
+    A forward sweep counts, level by level, the calls the search makes
+    into each state.  It stops once nodes exceeds max_nodes; the nodes
+    returned then exceed max_nodes and solutions is 0.
+    """
+    nd = len(coeffs)
+    # one count table and the window temporaries
+    shifts, width, window, top, top_s = _enumeration_shape(coeffs, num_classes, rhs, 32)
+    nodes = num_classes + 1
+    if nodes > max_nodes or width == 0:
+        return nodes, 0
+    # no level holds more than (num_classes + 1) * max_nodes calls; past
+    # int64, count in Python integers
+    dtype = np.int64 if (num_classes + 2) * max_nodes < 2**63 else object
+    count = np.zeros((num_classes + 1, width), dtype=dtype)
+    live = top_s >= 0
+    count[num_classes - top[live], top_s[live]] = 1
+    for i in range(nd - 2, 0, -1):
+        d = shifts[i]
+        if d < width:  # count[cl] gathers every parent (cl + v, s + v * d)
+            for cl in range(num_classes - 1, -1, -1):
+                count[cl, : width - d] += count[cl + 1, d:]
+        count *= window(i - 1)
+        nodes += int(count.sum())
+        if nodes > max_nodes:
+            return nodes, 0
+    return nodes, int((count * window(0)).sum())
+
+
 def _enumerate_candidates(
     coeffs: tuple[int, ...],
     num_classes: int,
@@ -403,85 +483,82 @@ def _enumerate_candidates(
     """Nonnegative integer vectors n with sum(n) = num_classes and
     coeffs . n = rhs, in ascending colexicographic order.
 
-    Returns (array of shape (count, len(coeffs)), truncated_flag); the
-    flag is set when enumeration hit max_candidates emitted vectors or
-    max_nodes visited search nodes.  Entirely deterministic.
+    Returns (array of shape (count, len(coeffs)) int32, truncated_flag).
+    The budgets follow the v1 depth-first search described above: its
+    nodes are its calls, counted exactly, and the flag is set exactly
+    when that search would make more than max_nodes calls or find more
+    than max(max_candidates, 0) vectors.  A truncated result holds no
+    rows.  For one coefficient no node is counted and no budget applies.
+
+    The calls are counted, not made: a forward sweep counts them, a
+    backward sweep marks the states from which a solution is reachable,
+    and the solutions are expanded level by level through reachable
+    children only, parents in order and values ascending, which is the
+    search's own order.  Raises ResourceBudgetError when the state
+    tables or the rows would exceed ENUMERATION_BYTE_BUDGET.
     """
     nd = len(coeffs)
     if nd == 0:
         return np.zeros((1 if (num_classes == 0 and rhs == 0) else 0, 0), dtype=np.int32), False
-    prefix_min = [0] * nd
-    prefix_max = [0] * nd
-    prefix_min[0] = prefix_max[0] = coeffs[0]
-    for i in range(1, nd):
-        prefix_min[i] = min(prefix_min[i - 1], coeffs[i])
-        prefix_max[i] = max(prefix_max[i - 1], coeffs[i])
-
-    rows: list[list[int]] = []
-    cur = [0] * nd
-    truncated = False
-    nodes = 0
-
-    def rec(i: int, classes_left: int, rhs_left: int) -> None:
-        nonlocal truncated, nodes
-        if truncated:
-            return
-        nodes += 1
-        if nodes > max_nodes:
-            truncated = True
-            return
-        if i == 0:
-            if coeffs[0] * classes_left == rhs_left:
-                if len(rows) >= max_candidates:
-                    truncated = True
-                    return
-                cur[0] = classes_left
-                rows.append(cur[:])
-                cur[0] = 0
-            return
-        lo_rest, hi_rest = prefix_min[i - 1], prefix_max[i - 1]
-        for v in range(classes_left + 1):
-            rl = rhs_left - coeffs[i] * v
-            cl = classes_left - v
-            if rl < cl * lo_rest or rl > cl * hi_rest:
-                continue
-            cur[i] = v
-            rec(i - 1, cl, rl)
-            cur[i] = 0
-            if truncated:
-                return
-
     if nd == 1:
-        if coeffs[0] * num_classes == rhs:
-            rows.append([num_classes])
-    else:
-        # outermost index last: ascending values there give colex order
-        for top in range(num_classes + 1):
-            cur[nd - 1] = top
-            rec(nd - 2, num_classes - top, rhs - coeffs[nd - 1] * top)
-            cur[nd - 1] = 0
-            if truncated:
-                break
+        hit = coeffs[0] * num_classes == rhs
+        return np.full((int(hit), 1), num_classes, dtype=np.int32), False
+    empty = np.zeros((0, nd), dtype=np.int32)
+    nodes, found = _count_enumeration(coeffs, num_classes, rhs, max_nodes)
+    if nodes > max_nodes or found > max(max_candidates, 0):
+        return empty, True
+    if found == 0:
+        return empty, False
+    # a reach table per level, and per row one value and one parent per
+    # level besides the row itself
+    shifts, width, window, top, top_s = _enumeration_shape(
+        coeffs, num_classes, rhs, nd + 16, found * nd * 12
+    )
 
-    arr = np.array(rows, dtype=np.int32).reshape(len(rows), nd)
-    return arr, truncated
+    # enter[i]: states that pass the window into level i (level nd-2 has
+    # none) and from which a solution is reachable
+    enter = [window(0)]  # at level 0 the window is the solution test
+    for i in range(1, nd - 1):
+        reach = enter[-1].copy()
+        d = shifts[i]
+        if d < width:  # reach[cl] gathers every child (cl - v, s - v * d)
+            for cl in range(1, num_classes + 1):
+                reach[cl, d:] |= reach[cl - 1, : width - d]
+        enter.append(reach & window(i) if i < nd - 2 else reach)
 
+    keep = top_s >= 0
+    keep[keep] = enter[nd - 2][num_classes - top[keep], top_s[keep]]
+    f_cl = num_classes - top[keep]
+    f_s = top_s[keep]
+    values: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * nd
+    parents: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * nd
+    values[nd - 1] = top[keep].astype(np.int32)
+    for i in range(nd - 2, 0, -1):
+        d = shifts[i]
+        par_parts, v_parts = [], []
+        idx = np.arange(f_cl.size)
+        v = 0
+        while idx.size:  # idx: the frontier states that can still take v
+            hit = idx[enter[i - 1][f_cl[idx] - v, f_s[idx] - v * d]]
+            par_parts.append(hit)
+            v_parts.append(np.full(hit.size, v, dtype=np.int32))
+            v += 1
+            idx = idx[(f_cl[idx] >= v) & (f_s[idx] >= v * d)]
+        par = np.concatenate(par_parts)
+        order = np.argsort(par, kind="stable")
+        parents[i] = par[order].astype(np.int32)
+        values[i] = np.concatenate(v_parts)[order]
+        f_cl = f_cl[parents[i]] - values[i]
+        f_s = f_s[parents[i]] - values[i].astype(np.int64) * d
 
-def _batched_margins(
-    candidates: np.ndarray, margin_coeffs: np.ndarray, threads: int | None
-) -> np.ndarray:
-    """candidates @ margin_coeffs, optionally chunked across threads.
-
-    Chunks are concatenated in index order, so the result is identical
-    for every thread count.
-    """
-    cand64 = candidates.astype(np.int64)
-    if not threads or threads <= 1 or cand64.shape[0] < 2:
-        return cand64 @ margin_coeffs
-    chunks = np.array_split(cand64, min(threads * 4, cand64.shape[0]))
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        parts = list(ex.map(lambda c: c @ margin_coeffs, chunks))
-    return np.concatenate(parts)
+    out = np.empty((f_cl.size, nd), dtype=np.int32)
+    out[:, 0] = f_cl
+    row = np.arange(f_cl.size)
+    for i in range(1, nd - 1):
+        out[:, i] = values[i][row]
+        row = parents[i][row]
+    out[:, nd - 1] = values[nd - 1][row]
+    return out, False
 
 
 @dataclass(frozen=True)
@@ -616,14 +693,13 @@ class Certificate:
         lines.append(f"  digest: {self.digest}")
         return "\n".join(lines)
 
-    def replay(self, *, threads: int | None = None) -> bool:
+    def replay(self) -> bool:
         """Recompute from the instance and compare logs bit for bit."""
         fresh = prove_infeasible(
             self.instance,
             paper_faithful=self.paper_faithful,
             max_candidates=self.max_candidates,
             max_nodes=self.max_nodes,
-            threads=threads,
         )
         return (
             fresh.verdict == self.verdict
@@ -673,13 +749,12 @@ def prove_infeasible(
     paper_faithful: bool = False,
     max_candidates: int = 500_000,
     max_nodes: int = 20_000_000,
-    threads: int | None = None,
 ) -> Certificate:
     """Attempt to prove that no target-sized set avoids full lines.
 
-    Deterministic for fixed arguments; `threads` only parallelizes the
-    refutation stage in order-preserving chunks and never changes the
-    output.
+    Deterministic for fixed arguments.  max_nodes and max_candidates
+    bound the candidate enumeration as `_enumerate_candidates` defines
+    them; a step over either budget is UNKNOWN with no candidates.
     """
     p, t = inst.p, inst.target
     if t > p * inst.plane_cap:
@@ -750,14 +825,13 @@ def prove_infeasible(
             tuple(notes),
         )
 
-    if candidates.shape[0]:
-        check = candidates.astype(np.int64) @ np.asarray(coeffs, dtype=np.int64)
-        if not (check == inst.pair_rhs).all():
-            raise AssertionError("enumeration produced a vector violating the pair count")
-        if not (candidates.sum(axis=1) == inst.num_classes).all():
-            raise AssertionError("enumeration produced a vector violating the class count")
+    cand64 = candidates.astype(np.int64)
+    if not (cand64 @ np.asarray(coeffs, dtype=np.int64) == inst.pair_rhs).all():
+        raise AssertionError("enumeration produced a vector violating the pair count")
+    if not (cand64.sum(axis=1) == inst.num_classes).all():
+        raise AssertionError("enumeration produced a vector violating the class count")
 
-    margins = _batched_margins(candidates, margin_coeffs, threads)
+    margins = cand64 @ margin_coeffs
     not_refuted = np.flatnonzero(margins <= 0)
     if candidates.shape[0] == 0:
         verdict, reason, widx = (

@@ -231,12 +231,7 @@ def _selftest_search() -> None:
 
 
 def cmd_bounds(args) -> int:
-    report = bounds_report(
-        args.p,
-        args.n,
-        args.k,
-        threads=args.threads,
-    )
+    report = bounds_report(args.p, args.n, args.k)
     if args.json:
         _emit_json({"command": "bounds", **report.to_dict()})
         return EXIT_OK
@@ -275,11 +270,7 @@ def _selftest_bounds() -> None:
 
 def cmd_certify(args) -> int:
     inst = make_instance(args.p, args.target)
-    cert = prove_infeasible(
-        inst,
-        paper_faithful=args.paper_faithful,
-        threads=args.threads,
-    )
+    cert = prove_infeasible(inst, paper_faithful=args.paper_faithful)
     if args.json:
         _emit_json({"command": "certify", **cert.to_dict()})
     else:
@@ -454,7 +445,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="search: N worker processes; bounds/certify: N threads for margin batches",
+        help="search: N worker processes",
     )
     sp.add_argument(
         "--selftest",

@@ -227,6 +227,12 @@ def test_certified_upper_descends_to_73():
     assert res.trace[-1] == (73, "UNKNOWN")
 
 
+def test_certified_upper_descends_to_242_at_the_default_budget():
+    res = certified_upper(7, 243)
+    assert res.value == 242
+    assert res.trace == ((243, "INFEASIBLE"), (242, "UNKNOWN"))
+
+
 def test_certified_upper_stops_at_unknown_start():
     res = certified_upper(5, 70, max_steps=1)
     assert res.value is None

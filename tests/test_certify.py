@@ -6,11 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linefree import ResourceBudgetError
 from linefree.certify import (
     INFEASIBLE,
     UNKNOWN,
     ExclusionInstance,
+    _count_enumeration,
+    _enumerate_candidates,
     class_distributions,
     make_instance,
     null_weights,
@@ -146,15 +151,17 @@ def test_unknown_prime_requires_explicit_caps():
 def test_replay_is_bit_exact():
     cert = prove_infeasible(make_instance(5, 74))
     assert cert.replay()
-    assert cert.replay(threads=2)
 
 
-def test_digest_is_thread_invariant():
-    a = prove_infeasible(make_instance(5, 73))
-    b = prove_infeasible(make_instance(5, 73), threads=4)
-    assert a.digest == b.digest
-    assert np.array_equal(a.margins, b.margins)
-    assert a.witness == b.witness
+def test_p7_ladder_at_the_default_budget():
+    # the 242 step's tree has 6,530,275,699,939 nodes, far past 20M
+    cert = prove_infeasible(make_instance(7, 242))
+    assert cert.verdict == UNKNOWN
+    assert cert.reason == (
+        "enumeration budget exhausted (max_candidates=500000, max_nodes=20000000)"
+    )
+    assert cert.candidate_count == 0
+    assert cert.digest == "c610dc10c3304035fed8d6cb7a050a24ce935579cc978ec43b86b1ff9c5719e3"
 
 
 def test_certificate_serializes_to_json():
@@ -178,3 +185,166 @@ def test_null_weights_annihilate_pencil_multisets():
             for m in rich_pencil_multisets(inst)
         }
         assert len(vals) == 1
+
+
+# --- the candidate enumeration against the v1 depth-first search --------------
+
+
+def _reference_enumeration(
+    coeffs: tuple[int, ...],
+    num_classes: int,
+    rhs: int,
+    max_candidates: int,
+    max_nodes: int,
+) -> tuple[np.ndarray, bool, int]:
+    """The v1 recursive search, which the digests pin: (rows, truncated, nodes).
+
+    Every call of rec, leaves included, is a node.  The top level tries
+    every value of the last coordinate unfiltered; below it, a value is
+    tried only if the remaining pair count stays reachable with the
+    remaining coefficients.
+    """
+    nd = len(coeffs)
+    if nd == 0:
+        return np.zeros((1 if (num_classes == 0 and rhs == 0) else 0, 0), dtype=np.int32), False, 0
+    prefix_min = [0] * nd
+    prefix_max = [0] * nd
+    prefix_min[0] = prefix_max[0] = coeffs[0]
+    for i in range(1, nd):
+        prefix_min[i] = min(prefix_min[i - 1], coeffs[i])
+        prefix_max[i] = max(prefix_max[i - 1], coeffs[i])
+
+    rows: list[list[int]] = []
+    cur = [0] * nd
+    truncated = False
+    nodes = 0
+
+    def rec(i: int, classes_left: int, rhs_left: int) -> None:
+        nonlocal truncated, nodes
+        if truncated:
+            return
+        nodes += 1
+        if nodes > max_nodes:
+            truncated = True
+            return
+        if i == 0:
+            if coeffs[0] * classes_left == rhs_left:
+                if len(rows) >= max_candidates:
+                    truncated = True
+                    return
+                cur[0] = classes_left
+                rows.append(cur[:])
+                cur[0] = 0
+            return
+        lo_rest, hi_rest = prefix_min[i - 1], prefix_max[i - 1]
+        for v in range(classes_left + 1):
+            rl = rhs_left - coeffs[i] * v
+            cl = classes_left - v
+            if rl < cl * lo_rest or rl > cl * hi_rest:
+                continue
+            cur[i] = v
+            rec(i - 1, cl, rl)
+            cur[i] = 0
+            if truncated:
+                return
+
+    if nd == 1:
+        if coeffs[0] * num_classes == rhs:
+            rows.append([num_classes])
+    else:
+        for top in range(num_classes + 1):
+            cur[nd - 1] = top
+            rec(nd - 2, num_classes - top, rhs - coeffs[nd - 1] * top)
+            cur[nd - 1] = 0
+            if truncated:
+                break
+
+    arr = np.array(rows, dtype=np.int32).reshape(len(rows), nd)
+    return arr, truncated, nodes
+
+
+def _pair_system(p: int, target: int) -> tuple[tuple[int, ...], int, int]:
+    inst = make_instance(p, target)
+    return pair_coefficients(class_distributions(inst)), inst.num_classes, inst.pair_rhs
+
+
+@st.composite
+def pair_systems(draw):
+    nd = draw(st.integers(1, 8))
+    classes = draw(st.integers(0, 12))
+    top = draw(st.sampled_from([4, 30]))  # small ranges force ties
+    coeffs = tuple(draw(st.lists(st.integers(0, top), min_size=nd, max_size=nd)))
+    counts = [0] * nd
+    for j in draw(st.lists(st.integers(0, nd - 1), min_size=classes, max_size=classes)):
+        counts[j] += 1
+    rhs = sum(c * n for c, n in zip(coeffs, counts)) + draw(st.integers(-2, 2))
+    return coeffs, classes, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_systems())
+def test_enumeration_matches_the_v1_search_at_every_budget_boundary(system):
+    coeffs, classes, rhs = system
+    rows, _, nodes = _reference_enumeration(coeffs, classes, rhs, 10**9, 10**9)
+    found = rows.shape[0]
+    if len(coeffs) >= 2:
+        assert _count_enumeration(coeffs, classes, rhs, 10**9) == (nodes, found)
+    budgets = {
+        (mc, mn)
+        for mc in (found, found - 1, 10**9)
+        for mn in (nodes, nodes - 1, 10**9, 2**64)  # 2**64 counts in Python integers
+    }
+    for mc, mn in budgets:
+        want, want_truncated, _ = _reference_enumeration(coeffs, classes, rhs, mc, mn)
+        got, truncated = _enumerate_candidates(coeffs, classes, rhs, mc, mn)
+        assert truncated == want_truncated, (mc, mn)
+        assert got.dtype == np.int32
+        if not truncated:
+            assert np.array_equal(got, want) and got.shape == want.shape, (mc, mn)
+
+
+def test_enumeration_special_cases():
+    for classes, rhs in [(0, 0), (0, 1), (3, 0)]:
+        got, truncated = _enumerate_candidates((), classes, rhs, 10, 10)
+        assert got.shape == ((1 if (classes, rhs) == (0, 0) else 0), 0) and not truncated
+    # one coefficient: no node is counted and no budget applies
+    got, truncated = _enumerate_candidates((7,), 3, 21, 0, 0)
+    assert got.tolist() == [[3]] and not truncated
+    got, truncated = _enumerate_candidates((7,), 3, 20, 0, 0)
+    assert got.shape == (0, 1) and not truncated
+
+
+@pytest.mark.parametrize(
+    "p, target, nodes, found",
+    [(5, 74, 118, 11), (5, 73, 648_833, 76_817), (7, 243, 366_001, 29_543)],
+)
+def test_v1_node_counts_are_pinned(p, target, nodes, found):
+    coeffs, classes, rhs = _pair_system(p, target)
+    assert _count_enumeration(coeffs, classes, rhs, 10**9) == (nodes, found)
+    rows, truncated = _enumerate_candidates(coeffs, classes, rhs, found, nodes)
+    assert not truncated and rows.shape == (found, len(coeffs))
+    assert _enumerate_candidates(coeffs, classes, rhs, found, nodes - 1)[1]
+    assert _enumerate_candidates(coeffs, classes, rhs, found - 1, nodes)[1]
+
+
+def test_v1_search_on_74_agrees_with_its_reference():
+    coeffs, classes, rhs = _pair_system(5, 74)
+    want, truncated, nodes = _reference_enumeration(coeffs, classes, rhs, 500_000, 20_000_000)
+    assert nodes == 118 and not truncated
+    got, _ = _enumerate_candidates(coeffs, classes, rhs, 500_000)
+    assert np.array_equal(got, want)
+
+
+def test_242_enumeration_is_beyond_any_budget():
+    coeffs, classes, rhs = _pair_system(7, 242)
+    rows, truncated = _enumerate_candidates(coeffs, classes, rhs, 500_000, 1_000_000)
+    assert truncated and rows.shape == (0, 26)
+    assert _count_enumeration(coeffs, classes, rhs, 10**13) == (
+        6_530_275_699_939,
+        501_148_277_385,
+    )
+
+
+def test_oversized_enumeration_raises():
+    with pytest.raises(ResourceBudgetError):
+        _enumerate_candidates((0, 1), 10, 10**9, 10)

@@ -136,6 +136,12 @@ def test_bounds_report_json():
     assert doc["upper"]["certified"] == 73
 
 
+def test_bounds_report_json_p7():
+    doc = run_json("bounds", "-p", "7", "-n", "3")
+    assert doc["interval"] == [225, 242]
+    assert doc["upper"]["certified"] == 242
+
+
 def test_bounds_text_output_is_stamped():
     proc = run("bounds", "-p", "5", "-n", "2")
     assert proc.stdout.startswith("# linefree 0.1.0")
