@@ -441,13 +441,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument("--timing", action="store_true", help="include wall-clock fields")
     sp.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="search: N worker processes",
-    )
-    sp.add_argument(
         "--selftest",
         action="store_true",
         help="run this subcommand's built-in examples and exit",
@@ -480,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("--budget", metavar="D", default=None, help="node count or 60s/5m/2h")
     sp.add_argument("--warm", metavar="FILE", default=None, help="grid file incumbent")
+    sp.add_argument("--threads", type=int, default=None, metavar="N", help="N worker processes")
     _add_common(sp)
 
     sp = sub.add_parser("bounds", help="lower/upper bound report")

@@ -154,47 +154,35 @@ def qr_construction(p: int) -> PointSet:
     """Quadratic-residue set in F_p^3 for p = 7 (mod 24).
 
     The congruence makes 2 a residue while -1 and 3 are non-residues,
-    which drives every case of the freeness argument.  Built with
-    layers indexed by the last coordinate of the defining formula, then
-    permuted so that layers are indexed by the first coordinate.
+    which drives every case of the freeness argument.  Built as a
+    (p, p, p) mask in the formula's coordinates (x, y, z): the cube
+    [1, p-1]^3, then families of points added and removed in the
+    definition's order (families can coincide: at p = 7 two removal
+    families do), each family one O(p) fancy-index write.  The point
+    (x, y, z) of the formula is the point (z, x, y) of the set, so layers
+    are indexed by the first coordinate.
     """
     _require_prime(p)
     if p % 24 != 7:
         raise ValueError(f"p must be congruent to 7 mod 24, got {p} (p mod 24 = {p % 24})")
     space = SpaceSpec(p, 3)
     res = quadratic_residues(p)
-    non = set(range(1, p)) - res
+    a = np.array(sorted(res))
+    b = np.array(sorted(set(range(1, p)) - res))  # non-residues
     inv2 = pow(2, p - 2, p)
     inv3 = pow(3, p - 2, p)
+    half_a, b3, b3_half, b_third = a * inv2 % p, 3 * b % p, 3 * b * inv2 % p, b * inv3 % p
 
-    pts: set[tuple[int, int, int]] = set()
-    for x in range(1, p):
-        for y in range(1, p):
-            for z in range(1, p):
-                pts.add((x, y, z))
-    pts |= {(a, 0, a) for a in res} | {(0, a, a) for a in res}
-    pts -= {(a, a, a) for a in res} | {(a * inv2 % p, a * inv2 % p, a) for a in res}
-    pts |= (
-        {(3 * b * inv2 % p, 0, b) for b in non}
-        | {(0, 3 * b * inv2 % p, b) for b in non}
-        | {(3 * b % p, 0, b) for b in non}
-        | {(0, 3 * b % p, b) for b in non}
-    )
-    pts -= (
-        {(b, b, b) for b in non}
-        | {(3 * b * inv2 % p, 3 * b * inv2 % p, b) for b in non}
-        | {(b * inv3 % p, b * inv3 % p, b) for b in non}
-    )
-    pts -= {(3 * b % p, -3 * b * inv2 % p, b) for b in non} | {
-        (-3 * b * inv2 % p, 3 * b % p, b) for b in non
-    }
-    pts |= (
-        {(b, b, 0) for b in non}
-        | {(2 * a % p, -a % p, 0) for a in res}
-        | {(-a % p, 2 * a % p, 0) for a in res}
-    )
-
-    return PointSet.from_points(space, [(z, x, y) for (x, y, z) in pts])
+    mask = np.zeros((p, p, p), dtype=bool)
+    mask[1:, 1:, 1:] = True
+    mask[a, 0, a] = mask[0, a, a] = True
+    mask[a, a, a] = mask[half_a, half_a, a] = False
+    mask[b3_half, 0, b] = mask[0, b3_half, b] = mask[b3, 0, b] = mask[0, b3, b] = True
+    mask[b, b, b] = mask[b3_half, b3_half, b] = mask[b_third, b_third, b] = False
+    mask[b3, -b3_half % p, b] = mask[-b3_half % p, b3, b] = False
+    mask[b, b, 0] = mask[2 * a % p, -a % p, 0] = mask[-a % p, 2 * a % p, 0] = True
+    # index z + p*x + p^2*y: the axes in order (y, x, z), most significant first
+    return PointSet(space, mask.transpose(1, 0, 2).reshape(-1))
 
 
 _REFERENCE_NAMES = ("fig70",)

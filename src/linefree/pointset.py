@@ -52,8 +52,11 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, space: SpaceSpec, indices: Iterable[int]) -> "PointSet":
+        """The set of the given point indices; an ndarray is read as it is."""
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         bits = np.zeros(space.num_points, dtype=np.bool_)
-        idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size:
             if idx.min() < 0 or idx.max() >= space.num_points:
                 raise ValueError("point index out of range")
@@ -127,7 +130,7 @@ def layer(s: PointSet, value: int) -> PointSet:
     sub = SpaceSpec(space.p, space.n - 1)
     idx = s.indices()
     sel = idx[idx % space.p == value]
-    return PointSet.from_indices(sub, (sel // space.p).tolist())
+    return PointSet.from_indices(sub, sel // space.p)
 
 
 def from_layers(p: int, layers: Sequence[PointSet]) -> PointSet:
@@ -139,10 +142,8 @@ def from_layers(p: int, layers: Sequence[PointSet]) -> PointSet:
         if lay.space != SpaceSpec(p, sub_n):
             raise ValueError("layers live in different spaces")
     space = SpaceSpec(p, sub_n + 1)
-    parts = []
-    for value, lay in enumerate(layers):
-        parts.append(lay.indices() * p + value)
-    return PointSet.from_indices(space, np.concatenate(parts).tolist() if parts else [])
+    parts = [lay.indices() * p + value for value, lay in enumerate(layers)]
+    return PointSet.from_indices(space, np.concatenate(parts))
 
 
 def product(s1: PointSet, s2: PointSet) -> PointSet:
@@ -153,7 +154,7 @@ def product(s1: PointSet, s2: PointSet) -> PointSet:
     space = SpaceSpec(p, s1.space.n + s2.space.n)
     shift = p**s1.space.n
     combined = (s1.indices()[None, :] + shift * s2.indices()[:, None]).reshape(-1)
-    return PointSet.from_indices(space, combined.tolist())
+    return PointSet.from_indices(space, combined)
 
 
 def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[int]) -> PointSet:
@@ -169,7 +170,7 @@ def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[i
     t = space_tables(p, n)
     pts = t.coords[s.indices()]
     image = (pts @ m.T + v) % p
-    return PointSet.from_indices(space, (image @ t.powers).tolist())
+    return PointSet.from_indices(space, image @ t.powers)
 
 
 def render_grid(s: PointSet, k: int | None = None) -> str:

@@ -43,12 +43,18 @@ class ProgressionWitness:
         return out
 
 
+def _smaller_side(s: PointSet) -> tuple[np.ndarray, bool]:
+    """(indices, inside): the points of S if inside, else of its complement,
+    whichever is smaller.  A flat's count is then its size minus theirs."""
+    inside = 2 * s.size <= s.space.num_points
+    return np.nonzero(s.bits if inside else ~s.bits)[0], inside
+
+
 def _line_counts(s: PointSet):
     """Yield (dis, counts[b, key] = |S & line|), counting the smaller of S and ~S."""
     space, p = s.space, s.space.p
     lines = space.num_points // p  # per direction
-    inside = 2 * s.size <= space.num_points
-    pts = np.nonzero(s.bits if inside else ~s.bits)[0]
+    pts, inside = _smaller_side(s)
     t = space_tables(p, space.n)
     for dis, keys, _ in t.key_blocks(pts, max(1, _BLOCK // max(pts.size, lines))):
         keys = keys + np.arange(dis.size)[:, None] * lines
@@ -142,17 +148,27 @@ class PlaneProfile:
 
 
 def plane_profile(s: PointSet) -> PlaneProfile:
-    space = s.space
+    """Plane-section sizes of S for every parallel class of hyperplanes.
+
+    Counts the smaller of S and its complement, for blocks of directions
+    holding at most _BLOCK point-normal products: one matmul and one
+    bincount per block.
+    """
+    space, p = s.space, s.space.p
     if space.n < 2:
         raise ValueError("plane profiles need n >= 2")
-    t = space_tables(space.p, space.n)
-    idx = s.indices()
-    pts = t.coords[idx]
+    t = space_tables(p, space.n)
+    pts, inside = _smaller_side(s)
+    x_t = t.coords[pts].T
+    block = max(1, _BLOCK // max(pts.size, p))
     out = []
-    for normal in t.dir_vecs:
-        vals = (pts @ normal) % space.p if len(pts) else np.empty(0, dtype=np.int64)
-        counts = np.bincount(vals, minlength=space.p)
-        out.append(tuple(sorted((int(c) for c in counts), reverse=True)))
+    for lo in range(0, len(t.dir_vecs), block):
+        normals = t.dir_vecs[lo : lo + block]
+        vals = normals @ x_t % p + np.arange(len(normals))[:, None] * p
+        counts = np.bincount(vals.ravel(), minlength=len(normals) * p).reshape(-1, p)
+        if not inside:
+            counts = space.num_points // p - counts
+        out.extend(map(tuple, np.sort(counts, axis=1)[:, ::-1].tolist()))
     return PlaneProfile(space=space, multisets=tuple(out))
 
 

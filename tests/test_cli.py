@@ -239,3 +239,17 @@ def test_threads_flag_does_not_change_answer():
     a = run("search", "-p", "5", "-n", "2", "-k", "4", "--json")
     b = run("search", "-p", "5", "-n", "2", "-k", "4", "--threads", "2", "--json")
     assert json.loads(a.stdout)["points"] == json.loads(b.stdout)["points"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("certify", "-p", "5", "--target", "74"),
+        ("bounds", "-p", "5", "-n", "3"),
+        ("rate", "--size", "70", "--dim", "3"),
+        ("verify", "-k", "5", "missing.grid"),
+    ],
+)
+def test_threads_flag_belongs_to_search_only(args):
+    proc = run(*args, "--threads", "2", expect=2)
+    assert "--threads" in proc.stderr

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from linefree.bounds import hypercube_size, layered_size, qr_size, sqrt_size
@@ -16,7 +19,7 @@ from linefree.constructions import (
     sqrt_params,
 )
 from linefree.geometry import SpaceSpec
-from linefree.pointset import layer
+from linefree.pointset import PointSet, layer
 from linefree.verifier import find_progression
 
 
@@ -129,6 +132,52 @@ def test_qr31_size_and_freeness():
     s = qr_construction(31)
     assert s.size == 27030 == qr_size(31)
     assert find_progression(s) is None
+
+
+def _reference_qr(p: int) -> PointSet:
+    """The construction's definition as a set of tuples, set operations in order."""
+    res = quadratic_residues(p)
+    non = set(range(1, p)) - res
+    inv2 = pow(2, p - 2, p)
+    inv3 = pow(3, p - 2, p)
+
+    pts: set[tuple[int, int, int]] = set()
+    for x in range(1, p):
+        for y in range(1, p):
+            for z in range(1, p):
+                pts.add((x, y, z))
+    pts |= {(a, 0, a) for a in res} | {(0, a, a) for a in res}
+    pts -= {(a, a, a) for a in res} | {(a * inv2 % p, a * inv2 % p, a) for a in res}
+    pts |= (
+        {(3 * b * inv2 % p, 0, b) for b in non}
+        | {(0, 3 * b * inv2 % p, b) for b in non}
+        | {(3 * b % p, 0, b) for b in non}
+        | {(0, 3 * b % p, b) for b in non}
+    )
+    pts -= (
+        {(b, b, b) for b in non}
+        | {(3 * b * inv2 % p, 3 * b * inv2 % p, b) for b in non}
+        | {(b * inv3 % p, b * inv3 % p, b) for b in non}
+    )
+    pts -= {(3 * b % p, -3 * b * inv2 % p, b) for b in non} | {
+        (-3 * b * inv2 % p, 3 * b % p, b) for b in non
+    }
+    pts |= (
+        {(b, b, 0) for b in non}
+        | {(2 * a % p, -a % p, 0) for a in res}
+        | {(-a % p, 2 * a % p, 0) for a in res}
+    )
+    return PointSet.from_points(SpaceSpec(p, 3), [(z, x, y) for (x, y, z) in pts])
+
+
+@pytest.mark.parametrize("p", [7, 31, 79, 103])
+def test_qr_mask_matches_the_set_definition(p):
+    assert np.array_equal(qr_construction(p).bits, _reference_qr(p).bits)
+
+
+def test_qr31_bits_pin():
+    digest = hashlib.sha256(qr_construction(31).bits.tobytes()).hexdigest()
+    assert digest == "9b4af76ffb7aa6dfe118d3fcccd8f3c4bfafaa137126b0106105c60812a4ea3b"
 
 
 # --- bundled reference set ----------------------------------------------

@@ -32,6 +32,29 @@ def test_construction_and_membership():
     assert PointSet.full(space).size == 25
 
 
+def test_from_indices_accepts_arrays_lists_generators_and_empty():
+    space = SpaceSpec(5, 2)
+    want = PointSet.from_indices(space, [0, 7, 24])
+    assert PointSet.from_indices(space, np.array([24, 7, 0, 7])) == want
+    assert PointSet.from_indices(space, np.array([7, 24, 0], dtype=np.int32)) == want
+    assert PointSet.from_indices(space, (i for i in (0, 7, 24))) == want
+    assert PointSet.from_indices(space, []) == PointSet.empty(space)
+    assert PointSet.from_indices(space, np.empty(0, dtype=np.int64)) == PointSet.empty(space)
+
+
+def test_from_indices_range_checks_and_does_not_alias():
+    space = SpaceSpec(5, 2)
+    for bad in ([-1], [25], np.array([3, -1]), np.array([0, 25])):
+        with pytest.raises(ValueError):
+            PointSet.from_indices(space, bad)
+    idx = np.array([1, 2])
+    s = PointSet.from_indices(space, idx)
+    idx[0] = 3
+    assert s == PointSet.from_indices(space, [1, 2])
+    assert not np.shares_memory(s.bits, idx)
+    assert not s.bits.flags.writeable
+
+
 def test_bits_are_frozen():
     s = PointSet.empty(SpaceSpec(3, 2))
     with pytest.raises((ValueError, AttributeError)):

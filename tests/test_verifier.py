@@ -17,6 +17,7 @@ from linefree.geometry import SpaceSpec, directions, index_point
 from linefree.pointset import PointSet
 from linefree.verifier import (
     LineBounds,
+    PlaneProfile,
     degree_line_bound,
     find_progression,
     identity_check,
@@ -218,6 +219,57 @@ def test_plane_profile_of_reference_set_contains_layer_split():
 def test_plane_profile_needs_two_dimensions():
     with pytest.raises(ValueError):
         plane_profile(PointSet.empty(SpaceSpec(5, 1)))
+
+
+def reference_plane_profile(s: PointSet) -> PlaneProfile:
+    """One pass over all of S per canonical normal."""
+    space = s.space
+    pts = np.asarray(s.points(), dtype=np.int64).reshape(-1, space.n)
+    out = []
+    for normal in directions(space):
+        counts = np.bincount(pts @ np.asarray(normal) % space.p, minlength=space.p)
+        out.append(tuple(sorted((int(c) for c in counts), reverse=True)))
+    return PlaneProfile(space=space, multisets=tuple(out))
+
+
+PROFILE_SPACES = [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (7, 3), (3, 4), (5, 4), (7, 4)]
+
+
+def _set_of_size(p: int, n: int, m: int, seed: int) -> PointSet:
+    return PointSet.from_indices(SpaceSpec(p, n), np.random.default_rng(seed).permutation(p**n)[:m])
+
+
+@st.composite
+def profile_sets(draw):
+    p, n = draw(st.sampled_from(PROFILE_SPACES))
+    return _set_of_size(p, n, draw(st.integers(0, p**n)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile_sets())
+def test_plane_profile_matches_reference(s):
+    assert plane_profile(s) == reference_plane_profile(s)
+
+
+@pytest.mark.parametrize("p,n", PROFILE_SPACES)
+def test_plane_profile_around_the_complement_switch(p, n):
+    # empty, full, and one point either side of half: S or ~S is counted
+    num = p**n
+    for m in (0, (num - 1) // 2, (num + 1) // 2, num):
+        s = _set_of_size(p, n, m, seed=m)
+        assert plane_profile(s) == reference_plane_profile(s), m
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_plane_profile_blocks_split_direction_ranges(density, rng, monkeypatch):
+    # 57 directions of F_7^3 in blocks of 1, 5 and 56: blocks end inside
+    # a pivot group and the last block is short
+    s = random_set(7, 3, density, rng)
+    want = reference_plane_profile(s)
+    side = min(s.size, s.space.num_points - s.size)
+    for per_block in (1, 5, 56):
+        monkeypatch.setattr(verifier, "_BLOCK", per_block * side)
+        assert plane_profile(s) == want, per_block
 
 
 # --- plane-section line bounds -------------------------------------------
