@@ -2,19 +2,11 @@
 counting bounds, infeasibility certificates, and exact search."""
 
 from .geometry import (
-    Hyperplane,
-    IncidenceIndex,
-    Line,
-    ParallelClass,
     ResourceBudgetError,
     SpaceSpec,
-    build_incidence_index,
     canonical_direction,
     directions,
-    enumerate_lines,
     index_point,
-    line_through,
-    parallel_classes,
     point_index,
 )
 from .pointset import (

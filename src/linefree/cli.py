@@ -6,7 +6,8 @@ aligned text (byte-identical across identical invocations); --json
 emits the module's JSON schema; --timing opts into wall-clock fields.
 
 Exit codes: 0 success/verified/optimal; 1 a progression was found;
-2 usage error; 3 certificate verdict UNKNOWN; 4 search budget exhausted.
+2 usage error or a request over a memory budget; 3 certificate verdict
+UNKNOWN; 4 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .constructions import (
     qr_construction,
     sqrt_construction,
 )
-from .geometry import SpaceSpec
+from .geometry import ResourceBudgetError, SpaceSpec
 from .pointset import (
     GridFormatError,
     PointSet,
@@ -544,7 +545,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"linefree {args.command}: {e}\n")
         return EXIT_USAGE
-    except (ValueError, GridFormatError) as e:
+    except (ValueError, GridFormatError, ResourceBudgetError) as e:
         sys.stderr.write(f"linefree {args.command}: {e}\n")
         return EXIT_USAGE
 

@@ -1,4 +1,4 @@
-"""Affine geometry of F_p^n: points, directions, lines, and hyperplanes.
+"""Affine geometry of F_p^n: points, directions, and lines in closed form.
 
 Points are tuples of coordinates in [0, p); the index of a point is its
 radix-p value with coordinate 0 least significant.  A direction is a
@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_POINTS = 2**31
-DEFAULT_INDEX_BUDGET = 2**22  # line-table entries an index may materialize
 
 
 class ResourceBudgetError(MemoryError):
@@ -72,10 +71,6 @@ class SpaceSpec:
     def num_lines(self) -> int:
         return self.p ** (self.n - 1) * self.num_directions
 
-    @property
-    def num_parallel_classes(self) -> int:
-        return self.num_directions
-
 
 def point_index(space: SpaceSpec, point: tuple[int, ...]) -> int:
     if len(point) != space.n:
@@ -108,34 +103,6 @@ def canonical_direction(space: SpaceSpec, vec: tuple[int, ...]) -> tuple[int, ..
     return tuple(c * inv % space.p for c in v)
 
 
-@dataclass(frozen=True)
-class Line:
-    """A full line {base + i*dir : 0 <= i < p}, in canonical form."""
-
-    base: tuple[int, ...]
-    dir: tuple[int, ...]
-    points: tuple[int, ...]  # the p point indices in traversal order
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The hyperplane {x : normal . x == constant}."""
-
-    normal: tuple[int, ...]
-    constant: int
-
-    def point_indices(self, space: SpaceSpec) -> np.ndarray:
-        t = space_tables(space.p, space.n)
-        vals = t.coords @ np.asarray(self.normal, dtype=np.int64) % space.p
-        return np.nonzero(vals == self.constant)[0].astype(np.int64)
-
-
-@dataclass(frozen=True)
-class ParallelClass:
-    normal: tuple[int, ...]
-    planes: tuple[Hyperplane, ...]
-
-
 class _SpaceTables:
     """Vectorized lookup tables for one space, built once and shared."""
 
@@ -152,7 +119,6 @@ class _SpaceTables:
         canonical = moved.any(axis=1) & (coords[np.arange(num), pivots] == 1)
         self.dir_vecs = coords[canonical]
         self.dir_pivots = pivots[canonical]
-        self.dir_pos = {tuple(int(c) for c in v): i for i, v in enumerate(self.dir_vecs)}
         self._dir_last = n - 1 - np.argmax(self.dir_vecs[:, ::-1] != 0, axis=1)
         last = zip(self.dir_vecs, self._dir_last)
         self._dir_last_inv = np.asarray([pow(int(v[j]), p - 2, p) for v, j in last])
@@ -211,132 +177,6 @@ def space_tables(p: int, n: int) -> _SpaceTables:
 def directions(space: SpaceSpec) -> list[tuple[int, ...]]:
     t = space_tables(space.p, space.n)
     return [tuple(int(c) for c in v) for v in t.dir_vecs]
-
-
-def _budget_check(space: SpaceSpec, budget: int, what: str) -> None:
-    entries = space.num_lines * space.p
-    if entries > budget:
-        raise ResourceBudgetError(
-            f"{what} for p={space.p}, n={space.n} needs {entries} line-table "
-            f"entries, over the budget of {budget}; raise budget= to allow"
-        )
-
-
-def _walk(t: _SpaceTables, idx: int, di: int) -> np.ndarray:
-    """The p point indices idx + i*d, i = 0..p-1, for direction number di."""
-    return (t.coords[idx] + np.arange(t.p)[:, None] * t.dir_vecs[di]) % t.p @ t.powers
-
-
-def _line(space: SpaceSpec, t: _SpaceTables, di: int, idx: int) -> Line:
-    """The line with direction number di through point idx, from its base."""
-    pts = _walk(t, int(_walk(t, idx, di).min()), di)
-    d = tuple(int(c) for c in t.dir_vecs[di])
-    return Line(base=index_point(space, int(pts[0])), dir=d, points=tuple(int(q) for q in pts))
-
-
-def enumerate_lines(space: SpaceSpec, budget: int = DEFAULT_INDEX_BUDGET) -> list[Line]:
-    """All p^{n-1}*(p^n-1)/(p-1) lines, sorted by (direction, base)."""
-    _budget_check(space, budget, "line enumeration")
-    t = space_tables(space.p, space.n)
-    out = []
-    for di in range(len(t.dir_vecs)):
-        for base in np.sort(t.line_matrix(di).min(axis=0)):
-            out.append(_line(space, t, di, int(base)))
-    return out
-
-
-def line_through(space: SpaceSpec, point: tuple[int, ...], vec: tuple[int, ...]) -> Line:
-    """The unique line through a point with the given (nonzero) direction."""
-    d = canonical_direction(space, vec)
-    t = space_tables(space.p, space.n)
-    return _line(space, t, t.dir_pos[d], point_index(space, point))
-
-
-def parallel_classes(space: SpaceSpec) -> list[ParallelClass]:
-    """Classes of p parallel hyperplanes, one per canonical normal."""
-    if space.n < 2:
-        raise ValueError("hyperplane classes need n >= 2")
-    out = []
-    for normal in directions(space):
-        planes = tuple(Hyperplane(normal, c) for c in range(space.p))
-        out.append(ParallelClass(normal=normal, planes=planes))
-    return out
-
-
-class IncidenceIndex:
-    """Point/line/plane incidence lookups for one space.
-
-    Lines are numbered in (direction, base) order.  For n = 3 each line
-    lies in exactly p + 1 planes; plane id = class_index * p + constant
-    with classes in canonical-normal order.
-    """
-
-    def __init__(self, space: SpaceSpec, budget: int = DEFAULT_INDEX_BUDGET):
-        _budget_check(space, budget, "incidence index")
-        self.space = space
-        t = space_tables(space.p, space.n)
-        self._tables = t
-        p = space.p
-        self._per_dir = space.num_points // p  # lines in each direction
-        blocks = []
-        for di in range(len(t.dir_vecs)):
-            mat = t.line_matrix(di)
-            blocks.append(mat[:, np.argsort(mat.min(axis=0), kind="stable")].T)
-        self.line_points = np.vstack(blocks)  # (num_lines, p), unordered within a row
-        self._line_base = self.line_points.min(axis=1)
-        num_lines, _ = self.line_points.shape
-        ids = np.repeat(np.arange(num_lines, dtype=np.int64), p)
-        flat = self.line_points.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        self._through_ids = ids[order]
-        counts = np.bincount(flat, minlength=space.num_points)
-        self._through_offsets = np.concatenate(([0], np.cumsum(counts)))
-
-    @property
-    def num_lines(self) -> int:
-        return int(self.line_points.shape[0])
-
-    def line(self, line_id: int) -> Line:
-        di = line_id // self._per_dir
-        # restore traversal order from the unordered point set
-        return _line(self.space, self._tables, di, int(self.line_points[line_id, 0]))
-
-    def lines_through(self, idx: int) -> np.ndarray:
-        lo, hi = self._through_offsets[idx], self._through_offsets[idx + 1]
-        return self._through_ids[lo:hi]
-
-    def pair_line(self, i: int, j: int) -> int:
-        """Id of the unique line through two distinct points."""
-        if i == j:
-            raise ValueError("a line needs two distinct points")
-        space, t = self.space, self._tables
-        a = t.coords[i]
-        b = t.coords[j]
-        d = canonical_direction(space, tuple(int(c) for c in (b - a) % space.p))
-        di = t.dir_pos[d]
-        base = int(_walk(t, i, di).min())
-        lo = di * self._per_dir
-        pos = int(np.searchsorted(self._line_base[lo : lo + self._per_dir], base))
-        return int(lo + pos)
-
-    def planes_of_line(self, line_id: int) -> tuple[int, ...]:
-        """Ids of the p + 1 planes containing a line (n = 3 only)."""
-        if self.space.n != 3:
-            raise ValueError("plane incidence is defined for n = 3")
-        space, t = self.space, self._tables
-        ln = self.line(line_id)
-        d = np.asarray(ln.dir, dtype=np.int64)
-        base = np.asarray(ln.base, dtype=np.int64)
-        out = []
-        for ci, normal in enumerate(t.dir_vecs):
-            if int(normal @ d) % space.p == 0:
-                c = int(normal @ base) % space.p
-                out.append(ci * space.p + c)
-        return tuple(sorted(out))
-
-
-def build_incidence_index(space: SpaceSpec, budget: int = DEFAULT_INDEX_BUDGET) -> IncidenceIndex:
-    return IncidenceIndex(space, budget=budget)
 
 
 def det_mod(matrix: list[list[int]], p: int) -> int:

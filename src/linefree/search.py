@@ -1,10 +1,11 @@
 """Exact maximum k-progression-free set computation by branch and bound,
 plus an independent brute-force oracle for tiny spaces.
 
-The exact engine decides points in a configurable order, propagating the
+The exact engine decides points from the most constrained line first,
+else the undecided point on the most crowded lines.  It propagates the
 rule that a k-window (the point set of a k-term progression) with k-1
-chosen points excludes its remaining points, and pruning with either a
-plain cardinality bound or a per-line capacity bound.  Results are
+chosen points excludes its remaining points, and prunes with the
+cardinality bound tightened by a per-line capacity bound.  Results are
 deterministic for a fixed configuration, including the reported set.
 """
 
@@ -19,23 +20,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import SpaceSpec, space_tables
+from .geometry import ResourceBudgetError, SpaceSpec, space_tables
 from .pointset import PointSet
 from .verifier import find_progression
 
-_ORDERS = ("greedy-degree", "natural")
-_BOUNDS = ("line-capacity", "cardinality")
+TABLE_BUDGET = 2**23  # entries of a space's line and window tables
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the branch and bound engine.
 
-    order: point selection; "greedy-degree" picks the undecided point on
-    the most crowded lines (ties to the lowest index), "natural" takes
-    ascending index order.  bound: "line-capacity" adds the per-line
-    packing bound to the cardinality bound.  warm: optional starting
-    incumbent (must verify k-progression-free).
+    warm: optional starting incumbent (must verify k-progression-free).
 
     threads: worker processes.  None or 1 searches in the calling
     process; more forks that many workers (POSIX) over about 16 subtrees
@@ -58,8 +54,6 @@ class SearchConfig:
     one).  For n = 1 only the origin is forced out (translation only).
     """
 
-    order: str = "greedy-degree"
-    bound: str = "line-capacity"
     warm: PointSet | None = None
     node_budget: int = 50_000_000
     time_budget: float | None = None
@@ -67,10 +61,6 @@ class SearchConfig:
     fix_translation: bool = False
 
     def __post_init__(self) -> None:
-        if self.order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}")
-        if self.bound not in _BOUNDS:
-            raise ValueError(f"bound must be one of {_BOUNDS}")
         if self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
@@ -119,47 +109,60 @@ def _window_rowsets(p: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _WindowSystem:
-    """Per-space constraint tables shared by engine instances."""
+    """Per-space constraint tables shared by engine instances.
+
+    Lines are numbered by direction, then by closed-form key; line l's
+    windows are numbered l*R .. l*R + R - 1 for R window position sets.
+    The tables are tuples of Python ints, which the engine iterates.
+    """
 
     def __init__(self, p: int, n: int, k: int):
         space = SpaceSpec(p, n)
         if not 3 <= k <= p:
             raise ValueError(f"k must be in [3, p], got {k}")
-        self.space = space
+        rowsets = _window_rowsets(p, k)
+        entries = space.num_lines * (p + len(rowsets) * k)
+        if entries > TABLE_BUDGET:
+            raise ResourceBudgetError(
+                f"search tables for p={p}, n={n}, k={k} need {entries} entries, "
+                f"over the budget of {TABLE_BUDGET}"
+            )
         self.p, self.n, self.k = p, n, k
         t = space_tables(p, n)
         num = space.num_points
         self.num_points = num
-        self.lines_per_point = space.lines_per_point
-        rowsets = _window_rowsets(p, k)
-
-        point_lines: list[list[int]] = [[] for _ in range(num)]
-        point_windows: list[list[int]] = [[] for _ in range(num)]
-        windows: list[tuple[int, ...]] = []
-        line_points: list[tuple[int, ...]] = []
-        for di in range(space.num_directions):
-            for col in t.line_matrix(di).T:
-                lid = len(line_points)
-                line_points.append(tuple(sorted(int(q) for q in col)))
-                for q in col:
-                    point_lines[int(q)].append(lid)
-                for rows in rowsets:
-                    wid = len(windows)
-                    w = tuple(int(col[r]) for r in rows)
-                    windows.append(w)
-                    for q in w:
-                        point_windows[q].append(wid)
-        self.num_lines = len(line_points)
-        self.windows = tuple(windows)
-        self.line_points = tuple(line_points)
-        self.point_lines = tuple(tuple(v) for v in point_lines)
-        self.point_windows = tuple(tuple(v) for v in point_windows)
+        # row l: the points of line l in position order
+        cols = np.concatenate([t.line_matrix(di).T for di in range(space.num_directions)])
+        windows = cols[:, rowsets].reshape(-1, k)
+        self.num_lines = len(cols)
+        pts = _shared_ints(num)
+        self.windows = tuple(map(tuple, pts[windows].tolist()))
+        self.line_points = tuple(map(tuple, pts[np.sort(cols, axis=1)].tolist()))
+        self.point_lines = _owners(cols, num)
+        self.point_windows = _owners(windows, num)
         # lines with a common direction partition the space; ids are
         # contiguous per direction, p^{n-1} lines each
         self.num_classes = space.num_directions
         self.lines_per_class = num // p
         # per-line packing capacity; trivial for one-dimensional spaces
         self.line_cap = one_dim_cap(p, k) if n > 1 else p
+
+
+def _shared_ints(m: int) -> np.ndarray:
+    """Object array of the Python ints 0..m-1.
+
+    Table entries taken from it share one int per value, so an entry
+    costs a pointer, not a new int object.
+    """
+    return np.arange(m).astype(object)
+
+
+def _owners(rows: np.ndarray, num: int) -> tuple[tuple[int, ...], ...]:
+    """For each point, the ascending numbers of the rows that hold it."""
+    flat = rows.reshape(-1)
+    owners = _shared_ints(len(rows))[np.argsort(flat, kind="stable") // rows.shape[1]].tolist()
+    ends = np.cumsum(np.bincount(flat, minlength=num)).tolist()
+    return tuple(tuple(owners[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
 
 @lru_cache(maxsize=256)
@@ -210,9 +213,8 @@ class _Engine:
 
     UNDEC, IN, OUT = 0, 1, 2
 
-    def __init__(self, ws: _WindowSystem, cfg: SearchConfig, best_size: int, budget=None):
+    def __init__(self, ws: _WindowSystem, best_size: int, budget=None):
         self.ws = ws
-        self.cfg = cfg
         self.k = ws.k
         self.status = bytearray(ws.num_points)
         self.win_in = [0] * len(ws.windows)
@@ -308,7 +310,7 @@ class _Engine:
         this single O(classes) pass is the whole bound.
         """
         extra = self.undec_total
-        if self.cfg.bound == "line-capacity" and self.ws.n > 1:
+        if self.ws.n > 1:
             blocking = self.undec_total - max(self.class_need)
             if blocking < extra:
                 extra = blocking
@@ -316,11 +318,6 @@ class _Engine:
 
     def _pick(self) -> int:
         st = self.status
-        if self.cfg.order == "natural":
-            for q in range(self.ws.num_points):
-                if st[q] == self.UNDEC:
-                    return q
-            return -1
         if self.ws.n > 1:
             # most-constrained unsatisfied line: fewest undecided points
             # among lines still short of excluded points; work through
@@ -425,13 +422,12 @@ def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], .
 
 def _run_tree(
     ws: _WindowSystem,
-    cfg: SearchConfig,
     start_size: int,
     budget: _Budget,
     prefix: tuple[tuple[int, int], ...],
 ) -> tuple[int, tuple[int, ...] | None, int, bool]:
     """(best_size, best_set, nodes, exhausted) for one decision subtree."""
-    eng = _Engine(ws, cfg, start_size, budget)
+    eng = _Engine(ws, start_size, budget)
     if not eng.run_prefix(prefix):
         return start_size, None, 0, True
     try:
@@ -457,7 +453,7 @@ def _root_prefixes(
     leaves: list[tuple[tuple[int, int], ...]] = []
     while frontier and len(leaves) + len(frontier) < workers * _SUBTREES_PER_WORKER:
         base = frontier.popleft()
-        probe = _Engine(ws, cfg, -1)
+        probe = _Engine(ws, -1)
         probe.run_prefix(base)  # live: the frame holds only exclusions
         if probe._leaf() is not None:
             leaves.append(base)
@@ -465,13 +461,13 @@ def _root_prefixes(
         q = probe._pick()
         for op in (1, 2):
             child = base + ((op, q),)
-            if _Engine(ws, cfg, -1).run_prefix(child):
+            if _Engine(ws, -1).run_prefix(child):
                 frontier.append(child)
     # siblings differ first in op at the same point, and 1 (in) < 2 (out)
     return sorted(leaves + list(frontier))
 
 
-_worker_args: tuple = ()  # (ws, cfg, start_size, budget) in a forked worker
+_worker_args: tuple = ()  # (ws, start_size, budget) in a forked worker
 
 
 def _init_worker(*args) -> None:
@@ -488,9 +484,9 @@ def _run_workers(
 ) -> list[tuple[int, tuple[int, ...] | None, int, bool]]:
     """_run_tree over the root subtrees on forked workers, in subtree order.
 
-    Forked workers inherit the window tables, the configuration and the
-    shared budget instead of rebuilding them; they run only the pure-Python
-    engine.  multiprocessing is imported here, not at module level, so
+    Forked workers inherit the window tables and the shared budget
+    instead of rebuilding them; they run only the pure-Python engine.
+    multiprocessing is imported here, not at module level, so
     that importing linefree stays as cheap as a serial search needs.
     """
     import multiprocessing
@@ -498,7 +494,7 @@ def _run_workers(
     mp = multiprocessing.get_context("fork")
     budget = _Budget(cfg.node_budget, deadline, mp)
     prefixes = _root_prefixes(ws, cfg, workers)
-    with mp.Pool(workers, _init_worker, (ws, cfg, start_size, budget)) as pool:
+    with mp.Pool(workers, _init_worker, (ws, start_size, budget)) as pool:
         return list(pool.imap(_run_worker_tree, prefixes))
 
 
@@ -539,7 +535,7 @@ def max_free_exact(
         outs = _run_workers(ws, cfg, best_size, deadline, workers)
     else:
         budget = _Budget(cfg.node_budget, deadline)
-        outs = [_run_tree(ws, cfg, best_size, budget, _frame_prefix(cfg, p, n))]
+        outs = [_run_tree(ws, best_size, budget, _frame_prefix(cfg, p, n))]
     nodes = sum(o[2] for o in outs)
     exhausted = all(o[3] for o in outs)
     for size, st, _, _ in outs:  # the first subtree that reaches the maximum
@@ -589,7 +585,7 @@ def one_dim_cap(p: int, k: int) -> int:
     """
     if k == p:
         return p - 1
-    res = max_free_exact(p, 1, k, SearchConfig(bound="cardinality"))
+    res = max_free_exact(p, 1, k)
     if not res.optimal:
         raise RuntimeError(f"one-dimensional search did not finish for p={p}, k={k}")
     return res.size

@@ -140,7 +140,7 @@ class PlaneProfile:
     """Per parallel class, the multiset of |S & H| over its p planes.
 
     Multisets are sorted descending; classes follow canonical-normal
-    order, matching parallel_classes.
+    order, as in geometry.directions.
     """
 
     space: SpaceSpec

@@ -133,6 +133,7 @@ def test_criterion_3_f7_plane_k7():
     assert r.elapsed < 7200.0
 
 
+@pytest.mark.slow
 def test_criterion_3_f7_plane_k6():
     # the longest proof of the suite; two worker processes halve its time
     r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000, threads=2)

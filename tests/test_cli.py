@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+
+from linefree.geometry import ResourceBudgetError
+from linefree.search import max_free_exact
 
 CLI = [sys.executable, "-m", "linefree.cli"]
 
@@ -222,6 +226,25 @@ def test_render_text_and_tikz(tmp_path):
     tikz = run("render", str(grid), "--tikz")
     assert "\\begin{tikzpicture}" in tikz.stdout
     assert "\\documentclass" in tikz.stdout
+
+
+def test_search_over_table_budget_exits_two():
+    # rejected before any table is built, with one line instead of a traceback
+    proc = run("search", "-p", "5", "-n", "6", "-k", "5", expect=2)
+    assert proc.stderr.count("\n") == 1
+    assert "over the budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("p, n, k", [(5, 6, 5), (3, 10, 3)])
+def test_max_free_exact_over_table_budget_allocates_nothing(p, n, k):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            max_free_exact(p, n, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- global behavior --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Geometry tables checked against a from-scratch line oracle."""
+"""The closed-form line tables checked against a from-scratch line oracle."""
 
 from __future__ import annotations
 
@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from linefree.geometry import (
-    ResourceBudgetError,
     SpaceSpec,
-    build_incidence_index,
     canonical_direction,
     det_mod,
     directions,
-    enumerate_lines,
     index_point,
     is_prime,
-    line_through,
-    parallel_classes,
     point_index,
+    space_tables,
 )
 
 
@@ -31,20 +27,27 @@ def oracle_line_indices(space: SpaceSpec, a: tuple[int, ...], b: tuple[int, ...]
     )
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (5, 3), (7, 2)])
+SPACES = [(3, 2), (5, 2), (3, 3), (5, 3), (7, 2)]
+
+
+def line_columns(space: SpaceSpec) -> list[np.ndarray]:
+    """Per direction, the (p, p^{n-1}) line matrix of the closed form."""
+    t = space_tables(space.p, space.n)
+    return [t.line_matrix(di) for di in range(space.num_directions)]
+
+
+@pytest.mark.parametrize("p,n", SPACES)
 def test_space_counts(p, n):
     space = SpaceSpec(p, n)
     assert space.num_points == p**n
     assert space.num_directions == (p**n - 1) // (p - 1)
     assert space.lines_per_point == space.num_directions
     assert space.num_lines == space.num_directions * p ** (n - 1)
-    lines = enumerate_lines(space)
-    assert len(lines) == space.num_lines
-    assert all(len(set(l.points)) == p for l in lines)
+    lines = np.hstack(line_columns(space)).T
+    assert lines.shape == (space.num_lines, p)
+    assert all(len(set(l)) == p for l in lines.tolist())
     # together the lines cover every pair exactly once
-    assert sum(1 for _ in lines) * p * (p - 1) // 2 == (
-        space.num_points * (space.num_points - 1) // 2
-    )
+    assert len(lines) * p * (p - 1) // 2 == space.num_points * (space.num_points - 1) // 2
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2)])
@@ -54,30 +57,55 @@ def test_index_round_trip(p, n):
         assert point_index(space, index_point(space, idx)) == idx
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3)])
-def test_line_through_matches_oracle(p, n, rng):
+@pytest.mark.parametrize("p,n", SPACES)
+def test_line_through_matches_oracle(p, n):
+    # every column of every line matrix is the oracle line through its
+    # first two points
     space = SpaceSpec(p, n)
-    for _ in range(200):
-        ia, ib = rng.choice(space.num_points, size=2, replace=False)
-        a = index_point(space, int(ia))
-        b = index_point(space, int(ib))
-        d = tuple((y - x) % p for x, y in zip(a, b))
-        got = frozenset(line_through(space, a, d).points)
-        assert got == oracle_line_indices(space, a, b)
+    for mat in line_columns(space):
+        for col in mat.T.tolist():
+            a, b = index_point(space, col[0]), index_point(space, col[1])
+            assert frozenset(col) == oracle_line_indices(space, a, b)
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3)])
-def test_every_pair_on_exactly_one_enumerated_line(p, n, rng):
+@pytest.mark.parametrize("p,n", SPACES)
+def test_every_pair_on_exactly_one_enumerated_line(p, n):
     space = SpaceSpec(p, n)
-    lines = [frozenset(l.points) for l in enumerate_lines(space)]
-    assert len(set(lines)) == len(lines)
-    for _ in range(60):
-        ia, ib = rng.choice(space.num_points, size=2, replace=False)
-        a = index_point(space, int(ia))
-        b = index_point(space, int(ib))
-        containing = [L for L in lines if int(ia) in L and int(ib) in L]
-        assert len(containing) == 1
-        assert containing[0] == oracle_line_indices(space, a, b)
+    num = space.num_points
+    on_line = np.zeros((num, num), dtype=np.int64)
+    for mat in line_columns(space):
+        for col in mat.T:
+            on_line[np.ix_(col, col)] += 1
+    np.fill_diagonal(on_line, 1)
+    assert (on_line == 1).all()
+
+
+@pytest.mark.parametrize("p,n", SPACES)
+def test_incidence_index_consistent(p, n):
+    # key_blocks names, for every point and direction, the column of the
+    # line matrix that holds the point and its row on that column
+    space = SpaceSpec(p, n)
+    t = space_tables(p, n)
+    mats = line_columns(space)
+    pts = np.arange(space.num_points)
+    seen = 0
+    for block in (1, 2, space.num_directions):
+        for dis, keys, pos in t.key_blocks(pts, block):
+            assert keys.shape == (dis.size, pts.size)
+            for b, di in enumerate(dis.tolist()):
+                assert (mats[di][pos, keys[b]] == pts).all()
+                seen += 1
+    assert seen == 3 * space.num_directions
+
+
+@pytest.mark.parametrize("p,n", SPACES)
+def test_line_base_is_column_minimum(p, n):
+    space = SpaceSpec(p, n)
+    t = space_tables(p, n)
+    keys = np.arange(p ** (n - 1))
+    for di, mat in enumerate(line_columns(space)):
+        assert (t.line_base(di, keys) == mat.min(axis=0)).all()
+        assert (t.line_points(di, keys, np.arange(p)[:, None]) == mat).all()
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2)])
@@ -98,36 +126,6 @@ def test_zero_vector_has_no_direction():
         canonical_direction(SpaceSpec(5, 2), (0, 0))
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
-def test_parallel_classes_partition_the_space(p, n):
-    space = SpaceSpec(p, n)
-    classes = parallel_classes(space)
-    assert len(classes) == space.num_parallel_classes
-    for cls in classes:
-        seen: list[int] = []
-        for plane in cls.planes:
-            seen.extend(int(i) for i in plane.point_indices(space))
-        assert sorted(seen) == list(range(space.num_points))
-
-
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3)])
-def test_incidence_index_consistent(p, n, rng):
-    space = SpaceSpec(p, n)
-    idx = build_incidence_index(space)
-    assert idx.num_lines == space.num_lines
-    for q in range(space.num_points):
-        through = idx.lines_through(q)
-        assert len(through) == space.lines_per_point
-        for lid in through:
-            assert q in idx.line(int(lid)).points
-    for _ in range(50):
-        ia, ib = rng.choice(space.num_points, size=2, replace=False)
-        lid = idx.pair_line(int(ia), int(ib))
-        assert lid == idx.pair_line(int(ib), int(ia))
-        pts = set(idx.line(lid).points)
-        assert int(ia) in pts and int(ib) in pts
-
-
 def test_det_mod_and_primality():
     assert det_mod([[1, 0], [0, 1]], 5) == 1
     assert det_mod([[2, 1], [1, 3]], 5) == 0  # 2*3 - 1*1 = 5
@@ -138,7 +136,3 @@ def test_non_prime_space_rejected():
     with pytest.raises(ValueError):
         SpaceSpec(6, 2)
 
-
-def test_oversized_index_budget_guarded():
-    with pytest.raises(ResourceBudgetError):
-        build_incidence_index(SpaceSpec(31, 4))

@@ -11,7 +11,7 @@ import pytest
 
 from linefree import search
 from linefree.constructions import box
-from linefree.geometry import SpaceSpec
+from linefree.geometry import SpaceSpec, space_tables
 from linefree.pointset import PointSet
 from linefree.search import (
     SearchConfig,
@@ -47,6 +47,39 @@ def test_one_dim_cap_agrees_with_subset_scan():
     for p in (3, 5, 7, 11, 13, 17, 19):
         for k in range(3, p + 1):
             assert one_dim_cap(p, k) == brute_force_oracle(p, 1, k), (p, k)
+
+
+# --- window tables ----------------------------------------------------------------
+
+
+def reference_window_tables(p, n, k):
+    """(windows, line_points, point_lines, point_windows), one line at a time."""
+    t = space_tables(p, n)
+    num = p**n
+    point_lines = [[] for _ in range(num)]
+    point_windows = [[] for _ in range(num)]
+    windows, line_points = [], []
+    for di in range(len(t.dir_vecs)):
+        for col in t.line_matrix(di).T.tolist():
+            for q in col:
+                point_lines[q].append(len(line_points))
+            line_points.append(tuple(sorted(col)))
+            for rows in search._window_rowsets(p, k):
+                w = tuple(col[r] for r in rows)
+                for q in w:
+                    point_windows[q].append(len(windows))
+                windows.append(w)
+    owners = tuple(tuple(map(tuple, v)) for v in (point_lines, point_windows))
+    return (tuple(windows), tuple(line_points), *owners)
+
+
+@pytest.mark.parametrize("p, n, k", [(5, 2, 4), (7, 2, 6), (3, 3, 3), (5, 3, 5), (5, 3, 3)])
+def test_window_tables_match_per_line_build(p, n, k):
+    ws = search._WindowSystem(p, n, k)
+    got = (ws.windows, ws.line_points, ws.point_lines, ws.point_windows)
+    assert got == reference_window_tables(p, n, k)
+    assert all(type(q) is int for table in got for row in table for q in row)
+    assert ws.num_lines == SpaceSpec(p, n).num_lines
 
 
 # --- the independent subset-scan oracle --------------------------------------
@@ -133,10 +166,6 @@ def test_budgets_hold_per_call_at_any_thread_count(threads):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SearchConfig(order="fancy")
-    with pytest.raises(ValueError):
-        SearchConfig(bound="lp")
-    with pytest.raises(ValueError):
         SearchConfig(node_budget=0)
     with pytest.raises(ValueError):
         SearchConfig(threads=0)
@@ -190,7 +219,7 @@ def test_root_split_respects_the_frame():
     assert len(prefixes) >= 2 * search._SUBTREES_PER_WORKER
     assert prefixes == sorted(prefixes)  # depth-first: in before out
     for pre in prefixes:
-        assert search._Engine(ws, cfg, -1).run_prefix(frame + pre)
+        assert search._Engine(ws, -1).run_prefix(frame + pre)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
