@@ -200,8 +200,8 @@ def cmd_search(args) -> int:
     if args.json:
         payload = res.to_dict()
         if not args.timing:
-            payload.pop("elapsed", None)
-            payload.pop("nodes", None)
+            for key in ("elapsed", "nodes", "bound_prunes", "frame_prunes"):
+                del payload[key]
         _emit_json({"command": "search", **payload})
     else:
         out = [
@@ -211,6 +211,7 @@ def cmd_search(args) -> int:
         ]
         if args.timing:
             out.append(f"nodes: {res.nodes}")
+            out.append(f"prunes: {res.bound_prunes} by the size bound, {res.frame_prunes} by the frame")
             out.append(f"elapsed: {res.elapsed:.3f}s")
         sys.stdout.write("\n".join(out) + "\n")
         if res.space.n >= 2:

@@ -2,9 +2,10 @@
 plus an independent brute-force oracle for tiny spaces.
 
 The exact engine decides points from the most constrained line first,
-else the undecided point on the most crowded lines.  It propagates the
-rule that a k-window (the point set of a k-term progression) with k-1
-chosen points excludes its remaining points, and prunes with the
+else the undecided point on the most crowded lines; with fix_translation
+it first decides the two axes of the heaviest-line frame.  It propagates
+the rule that a k-window (the point set of a k-term progression) with
+k-1 chosen points excludes its remaining points, and prunes with the
 cardinality bound tightened by a per-line capacity bound.  Results are
 deterministic for a fixed configuration, including the reported set.
 """
@@ -12,8 +13,9 @@ deterministic for a fixed configuration, including the reported set.
 from __future__ import annotations
 
 import ctypes
+import operator
 import time
-from collections import deque
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -34,24 +36,37 @@ class SearchConfig:
     warm: optional starting incumbent (must verify k-progression-free).
 
     threads: worker processes.  None or 1 searches in the calling
-    process; more forks that many workers (POSIX) over about 16 subtrees
-    each.  The node and time budgets hold for the whole call, and the
+    process; more forks that many workers (POSIX) over at least 16
+    subtrees each.  The node and time budgets hold for the whole call, and the
     reported set is the first maximum set in depth-first order (a tie
     never replaces an earlier set), so size and set are the same at any
     worker count.
 
-    fix_translation: sound symmetry breaking that pins an affine frame.
-    The complement C of any k-progression-free set S is nonempty (S
-    cannot be the whole space) and, for n >= 2, is never contained in a
-    single affine line (a set containing a full line contains k-term
-    progressions for every k <= p).  Hence C holds a point c0, a second
-    point c1, and a third point c2 off the line through c0 and c1.
-    Invertible affine maps preserve k-term progressions and can carry
-    (c0, c1, c2) to (origin, e_1, e_2), so some affine image of S - of
-    the same size and also free - excludes those three points.  Forcing
-    them out therefore never changes the optimal size, and the returned
-    witness is a maximum set (possibly not the lexicographically least
-    one).  For n = 1 only the origin is forced out (translation only).
+    fix_translation: sound symmetry breaking that pins an affine frame
+    on a heaviest line.  Let C be the complement of a k-progression-free
+    set S.  C is nonempty (S cannot be the whole space) and, for n >= 2,
+    never lies inside one affine line (a set containing a full line
+    contains k-term progressions for every k <= p).  Take as x-axis a
+    line L1 holding the most points of C; it holds at least 2, since
+    any two points of C lie on a line.  Take as y-axis a line L2 != L1
+    holding the most points of C among the lines through a point of
+    C on L1; it too holds at least 2, since the line through a C point
+    of L1 and a C point off L1 qualifies.  Let c0 be the C point where
+    L2 meets L1, c1 another C point of L1 and c2 another C point of L2.
+    Invertible affine maps preserve lines and k-term progressions and
+    carry (c0, c1, c2) to (origin, e_1, e_2), so some affine image of
+    S - of the same size and also free - has a complement meeting:
+    origin, e_1 and e_2 are out; every line l has out(l) <= out(x-axis);
+    every line other than the x-axis through an x-axis point that is
+    out has out(l) <= out(y-axis).  The search forces the three points
+    out, decides the x-axis and then the y-axis points first, and
+    prunes a node once out(l) > p - in(x-axis), or out(l) > p - in(y-axis)
+    on a line of the second kind.  Out counts only grow and in counts
+    only grow down the tree, so a violated rule stays violated and no
+    image of that kind is lost: the optimal size never changes, and the
+    returned witness is a maximum set (possibly not the
+    lexicographically least one).  For n = 1 only the origin is forced
+    out (translation only).
     """
 
     warm: PointSet | None = None
@@ -78,6 +93,8 @@ class SearchResult:
     optimal: bool
     nodes: int
     elapsed: float
+    bound_prunes: int  # nodes cut by the size bound
+    frame_prunes: int  # branches cut by a fix_translation frame rule
 
     def to_dict(self) -> dict:
         return {
@@ -88,6 +105,8 @@ class SearchResult:
             "optimal": self.optimal,
             "nodes": self.nodes,
             "elapsed": round(self.elapsed, 3),
+            "bound_prunes": self.bound_prunes,
+            "frame_prunes": self.frame_prunes,
             "points": [list(pt) for pt in self.best.points()],
         }
 
@@ -118,15 +137,8 @@ class _WindowSystem:
 
     def __init__(self, p: int, n: int, k: int):
         space = SpaceSpec(p, n)
-        if not 3 <= k <= p:
-            raise ValueError(f"k must be in [3, p], got {k}")
+        self.entries = _table_entries(p, n, k)
         rowsets = _window_rowsets(p, k)
-        entries = space.num_lines * (p + len(rowsets) * k)
-        if entries > TABLE_BUDGET:
-            raise ResourceBudgetError(
-                f"search tables for p={p}, n={n}, k={k} need {entries} entries, "
-                f"over the budget of {TABLE_BUDGET}"
-            )
         self.p, self.n, self.k = p, n, k
         t = space_tables(p, n)
         num = space.num_points
@@ -146,6 +158,33 @@ class _WindowSystem:
         self.lines_per_class = num // p
         # per-line packing capacity; trivial for one-dimensional spaces
         self.line_cap = one_dim_cap(p, k) if n > 1 else p
+        # the fix_translation axes (n > 1): the lines through the origin
+        # and e_1 (x) and through the origin and e_2 (y); axis[q] is 1 on
+        # the x-axis and 2 on the rest of the y-axis
+        self.x_line = self.y_line = -1
+        self.x_points = self.axis_order = ()
+        self.axis = bytearray(num)
+        if n > 1:
+            pl = self.point_lines
+            (self.x_line,) = set(pl[0]) & set(pl[1])
+            (self.y_line,) = set(pl[0]) & set(pl[p])
+            self.x_points = self.line_points[self.x_line]
+            self.axis_order = self.x_points + self.line_points[self.y_line][1:]
+            for q in self.axis_order:
+                self.axis[q] = 1 if q in self.x_points else 2
+
+
+def _table_entries(p: int, n: int, k: int) -> int:
+    """Entries of the line and window tables of (p, n, k), within TABLE_BUDGET."""
+    if not 3 <= k <= p:
+        raise ValueError(f"k must be in [3, p], got {k}")
+    entries = SpaceSpec(p, n).num_lines * (p + len(_window_rowsets(p, k)) * k)
+    if entries > TABLE_BUDGET:
+        raise ResourceBudgetError(
+            f"search tables for p={p}, n={n}, k={k} need {entries} entries, "
+            f"over the budget of {TABLE_BUDGET}"
+        )
+    return entries
 
 
 def _shared_ints(m: int) -> np.ndarray:
@@ -165,9 +204,34 @@ def _owners(rows: np.ndarray, num: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(owners[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
 
-@lru_cache(maxsize=256)
+_systems: OrderedDict[tuple[int, int, int], _WindowSystem] = OrderedDict()
+
+
 def _window_system(p: int, n: int, k: int) -> _WindowSystem:
-    return _WindowSystem(p, n, k)
+    """The cached window system of (p, n, k).
+
+    The cache holds at most TABLE_BUDGET table entries in all: least
+    recently used systems are dropped before a new one is built, and
+    again after it is stored (its build may store a one-dimensional
+    system).
+    """
+    key = (p, n, k)
+    ws = _systems.pop(key, None)
+    if ws is None:
+        _evict_systems(room=_table_entries(p, n, k), keep=0)
+        ws = _WindowSystem(p, n, k)
+    _systems[key] = ws  # most recently used last
+    _evict_systems(room=0, keep=1)
+    return ws
+
+
+def _evict_systems(room: int, keep: int) -> None:
+    """Drop least recently used systems, but not the last `keep`, until
+    `room` more entries fit in TABLE_BUDGET.
+    """
+    held = sum(ws.entries for ws in _systems.values())
+    while len(_systems) > keep and held + room > TABLE_BUDGET:
+        held -= _systems.popitem(last=False)[1].entries
 
 
 class _BudgetExhausted(Exception):
@@ -176,6 +240,7 @@ class _BudgetExhausted(Exception):
 
 _GRANT = 2048  # nodes an engine draws from the budget at a time
 _SUBTREES_PER_WORKER = 16  # enough to even out subtrees of unequal size
+_AXIS_SPLIT_DEPTH = 10  # at most 2^10 subtrees from the frame's axis points
 
 
 class _Budget:
@@ -209,11 +274,19 @@ class _Budget:
 
 
 class _Engine:
-    """One depth-first exploration over a fixed prefix of decisions."""
+    """One depth-first exploration over a fixed prefix of decisions.
+
+    framed: apply the fix_translation frame rules (see SearchConfig).
+    Each line l carries a cap on its excluded points, out_cap[l]: p
+    without the frame; with it, p - in(x-axis), lowered to p - in(y-axis)
+    on the lines other than the x-axis through an excluded x-axis point.
+    The caps move only when an axis point is decided, and the axis points
+    are decided first, so below them _set_out checks constant caps.
+    """
 
     UNDEC, IN, OUT = 0, 1, 2
 
-    def __init__(self, ws: _WindowSystem, best_size: int, budget=None):
+    def __init__(self, ws: _WindowSystem, best_size: int, budget=None, framed: bool = False):
         self.ws = ws
         self.k = ws.k
         self.status = bytearray(ws.num_points)
@@ -229,73 +302,119 @@ class _Engine:
         self.undec_total = ws.num_points
         self.cur_in = 0
         self.chosen: list[int] = []
-        self.trail: list[tuple[int, int]] = []  # (op, point); op 1=in 2=out
+        # (op, point); op 1=in 2=out, or (3, caps) to restore out_cap
+        self.trail: list[tuple[int, object]] = []
+        self.out_cap = [ws.p] * ws.num_lines
+        self.axis = ws.axis if framed else bytes(ws.num_points)
+        self.axis_order = ws.axis_order if framed else ()
         self.best_size = best_size
         self.best_set: tuple[int, ...] | None = None
         self.nodes = 0
+        self.bound_prunes = 0
+        self.frame_prunes = 0
         self.budget = budget
         self.grant = 0  # nodes drawn from the budget and not yet used
 
     # -- state transitions ------------------------------------------------
     def _set_in(self, q: int) -> bool:
         """Choose q; returns False on an immediate contradiction."""
-        ws = self.ws
-        self.status[q] = self.IN
+        ws, status, win_in = self.ws, self.status, self.win_in
+        status[q] = self.IN
         self.undec_total -= 1
         self.cur_in += 1
         self.chosen.append(q)
         self.trail.append((1, q))
+        line_in, line_undec = self.line_in, self.line_undec
         for l in ws.point_lines[q]:
-            self.line_in[l] += 1
-            self.line_undec[l] -= 1
+            line_in[l] += 1
+            line_undec[l] -= 1
         filled: list[int] = []
+        k = self.k
         for w in ws.point_windows[q]:
-            c = self.win_in[w] + 1
-            self.win_in[w] = c
-            if c == self.k:
+            c = win_in[w] + 1
+            win_in[w] = c
+            if c == k:
                 return False
-            if c == self.k - 1:
+            if c == k - 1:
                 filled.append(w)
+        if self.axis[q] and not self._reframe():
+            return False
         for w in filled:
             for m in ws.windows[w]:
-                if self.status[m] == self.UNDEC:
-                    self._set_out(m)
+                if status[m] == self.UNDEC and not self._set_out(m):
+                    return False
         return True
 
-    def _set_out(self, q: int) -> None:
+    def _set_out(self, q: int) -> bool:
+        """Exclude q; returns False if a line now exceeds its frame cap."""
         self.status[q] = self.OUT
         self.undec_total -= 1
         self.trail.append((2, q))
         lpc = self.ws.lines_per_class
+        need, cap = self.need, self.out_cap
+        line_out, line_undec, class_need = self.line_out, self.line_undec, self.class_need
+        ok = True
         for l in self.ws.point_lines[q]:
-            self.line_undec[l] -= 1
-            out = self.line_out[l] + 1
-            self.line_out[l] = out
-            if out <= self.need:
-                self.class_need[l // lpc] -= 1
+            line_undec[l] -= 1
+            out = line_out[l] + 1
+            line_out[l] = out
+            # a line's chosen points are free, so in <= line_cap and every
+            # cap p - in is at least need: only out > need can exceed one
+            if out <= need:
+                class_need[l // lpc] -= 1
+            elif out > cap[l]:
+                ok = False
+        if not ok:
+            self.frame_prunes += 1
+            return False
+        return self.axis[q] != 1 or self._reframe()
+
+    def _reframe(self) -> bool:
+        """Recompute out_cap after an axis decision; False if a line exceeds it."""
+        ws = self.ws
+        cap_x = ws.p - self.line_in[ws.x_line]
+        cap_y = min(cap_x, ws.p - self.line_in[ws.y_line])
+        cap = [cap_x] * ws.num_lines
+        for q in ws.x_points:
+            if self.status[q] == self.OUT:
+                for l in ws.point_lines[q]:
+                    cap[l] = cap_y
+        cap[ws.x_line] = cap_x
+        self.trail.append((3, self.out_cap))
+        self.out_cap = cap
+        if any(map(operator.gt, self.line_out, cap)):
+            self.frame_prunes += 1
+            return False
+        return True
 
     def _undo_to(self, mark: int) -> None:
         ws = self.ws
-        lpc = ws.lines_per_class
-        while len(self.trail) > mark:
-            op, q = self.trail.pop()
-            self.status[q] = self.UNDEC
-            self.undec_total += 1
-            if op == 1:
+        lpc, need = ws.lines_per_class, self.need
+        trail, status, win_in = self.trail, self.status, self.win_in
+        line_in, line_out, line_undec = self.line_in, self.line_out, self.line_undec
+        while len(trail) > mark:
+            op, q = trail.pop()
+            if op == 2:
+                status[q] = self.UNDEC
+                self.undec_total += 1
+                for l in ws.point_lines[q]:
+                    line_undec[l] += 1
+                    out = line_out[l]
+                    line_out[l] = out - 1
+                    if out <= need:
+                        self.class_need[l // lpc] += 1
+            elif op == 1:
+                status[q] = self.UNDEC
+                self.undec_total += 1
                 self.cur_in -= 1
                 self.chosen.pop()
                 for l in ws.point_lines[q]:
-                    self.line_in[l] -= 1
-                    self.line_undec[l] += 1
+                    line_in[l] -= 1
+                    line_undec[l] += 1
                 for w in ws.point_windows[q]:
-                    self.win_in[w] -= 1
+                    win_in[w] -= 1
             else:
-                for l in ws.point_lines[q]:
-                    self.line_undec[l] += 1
-                    out = self.line_out[l]
-                    self.line_out[l] = out - 1
-                    if out <= self.need:
-                        self.class_need[l // lpc] += 1
+                self.out_cap = q
 
     # -- bounding and selection -------------------------------------------
     def _upper_extra(self) -> int:
@@ -316,8 +435,18 @@ class _Engine:
                 extra = blocking
         return extra
 
-    def _pick(self) -> int:
+    def _pick(self, framing: bool = True) -> int:
+        """The next point to decide.
+
+        Undecided axis points come first, x-axis then y-axis, in index
+        order; framing=False skips that scan where every axis point is
+        known to be decided.
+        """
         st = self.status
+        if framing:
+            for q in self.axis_order:
+                if st[q] == self.UNDEC:
+                    return q
         if self.ws.n > 1:
             # most-constrained unsatisfied line: fewest undecided points
             # among lines still short of excluded points; work through
@@ -362,7 +491,8 @@ class _Engine:
             return tuple(sorted(cand))
         return None
 
-    def dfs(self) -> None:
+    def dfs(self, framing: bool = True) -> None:
+        """Search below the current node; framing as in _pick."""
         if not self.grant:
             self.grant = self.budget.draw()
             if not self.grant:
@@ -375,14 +505,16 @@ class _Engine:
                 self.best_size, self.best_set = len(leaf), leaf
             return
         if self.cur_in + self._upper_extra() <= self.best_size:
+            self.bound_prunes += 1
             return
-        q = self._pick()
+        q = self._pick(framing)
+        framing = self.axis[q] != 0  # a later pick may still be an axis point
         mark = len(self.trail)
         if self._set_in(q):
-            self.dfs()
+            self.dfs(framing)
         self._undo_to(mark)
-        self._set_out(q)
-        self.dfs()
+        if self._set_out(q):
+            self.dfs(framing)
         self._undo_to(mark)
 
     def run_prefix(self, prefix: tuple[tuple[int, int], ...]) -> bool:
@@ -393,11 +525,8 @@ class _Engine:
                 if not ok:
                     return False
                 continue
-            if op == 1:
-                if not self._set_in(q):
-                    return False
-            else:
-                self._set_out(q)
+            if not (self._set_in(q) if op == 1 else self._set_out(q)):
+                return False
         return True
 
 
@@ -420,54 +549,81 @@ def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], .
     return tuple((2, q) for q in frame)
 
 
+# (best_size, best_set, exhausted, (nodes, bound_prunes, frame_prunes))
+_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int]]
+
+
 def _run_tree(
     ws: _WindowSystem,
+    framed: bool,
     start_size: int,
     budget: _Budget,
     prefix: tuple[tuple[int, int], ...],
-) -> tuple[int, tuple[int, ...] | None, int, bool]:
-    """(best_size, best_set, nodes, exhausted) for one decision subtree."""
-    eng = _Engine(ws, start_size, budget)
+) -> _TreeResult:
+    """Search one decision subtree."""
+    eng = _Engine(ws, start_size, budget, framed)
     if not eng.run_prefix(prefix):
-        return start_size, None, 0, True
+        return start_size, None, True, (0, 0, 0)
     try:
         eng.dfs()
-        return eng.best_size, eng.best_set, eng.nodes, True
+        exhausted = True
     except _BudgetExhausted:
-        return eng.best_size, eng.best_set, eng.nodes, False
+        exhausted = False
     finally:
         budget.give_back(eng.grant)  # the unused part of the last grant
+    return eng.best_size, eng.best_set, exhausted, (eng.nodes, eng.bound_prunes, eng.frame_prunes)
 
 
 def _root_prefixes(
     ws: _WindowSystem, cfg: SearchConfig, workers: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Split the tree below the frame into about 16 live subtrees per worker.
+    """Split the tree below the frame into live subtrees, at least 16 per worker.
 
-    Expands the in/out decisions breadth-first on the engine's own pick
-    order, dropping contradictory prefixes and keeping leaves whole, so
-    the union of subtrees is exactly the serial tree.  The prefixes come
-    back in depth-first order (in before out).
+    Cuts every branch of the engine's own tree `depth` decisions below
+    the frame, keeping leaves whole and dropping contradictory branches,
+    so the union of subtrees is exactly the serial tree.  `depth` starts
+    at the number of undecided axis points of the fix_translation frame,
+    which the engine decides first, so the frame caps are fixed within
+    each subtree; for p > 7 that number exceeds _AXIS_SPLIT_DEPTH, and
+    the subtrees decide the rest of the axes themselves.  `depth` grows
+    until the subtrees are enough or no branch is left to deepen.  The
+    prefixes come out in depth-first order (in before out).
     """
-    frontier = deque([_frame_prefix(cfg, ws.p, ws.n)])
-    leaves: list[tuple[tuple[int, int], ...]] = []
-    while frontier and len(leaves) + len(frontier) < workers * _SUBTREES_PER_WORKER:
-        base = frontier.popleft()
-        probe = _Engine(ws, -1)
-        probe.run_prefix(base)  # live: the frame holds only exclusions
-        if probe._leaf() is not None:
-            leaves.append(base)
-            continue
-        q = probe._pick()
-        for op in (1, 2):
-            child = base + ((op, q),)
-            if _Engine(ws, -1).run_prefix(child):
-                frontier.append(child)
-    # siblings differ first in op at the same point, and 1 (in) < 2 (out)
-    return sorted(leaves + list(frontier))
+    eng = _Engine(ws, -1, framed=cfg.fix_translation)
+    frame = _frame_prefix(cfg, ws.p, ws.n)
+    eng.run_prefix(frame)  # live: nothing is in yet
+    axis_left = sum(eng.status[q] == eng.UNDEC for q in eng.axis_order)
+    depth = min(axis_left, _AXIS_SPLIT_DEPTH)
+    while True:
+        prefixes: list[tuple[tuple[int, int], ...]] = []
+        deeper = _cut(eng, frame, depth, prefixes)
+        if len(prefixes) >= workers * _SUBTREES_PER_WORKER or not deeper:
+            return prefixes
+        depth += 1
 
 
-_worker_args: tuple = ()  # (ws, start_size, budget) in a forked worker
+def _cut(eng: _Engine, prefix: tuple, depth: int, out: list) -> bool:
+    """Append the prefixes `depth` decisions below eng's node to out.
+
+    Returns whether some branch was cut short of a leaf.
+    """
+    if eng._leaf() is not None:
+        out.append(prefix)
+        return False
+    if depth == 0:
+        out.append(prefix)
+        return True
+    q = eng._pick()
+    mark = len(eng.trail)
+    deeper = False
+    for op in (1, 2):
+        if eng.run_prefix(((op, q),)):
+            deeper |= _cut(eng, prefix + ((op, q),), depth - 1, out)
+        eng._undo_to(mark)
+    return deeper
+
+
+_worker_args: tuple = ()  # (ws, framed, start_size, budget) in a forked worker
 
 
 def _init_worker(*args) -> None:
@@ -475,13 +631,13 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _run_worker_tree(prefix: tuple[tuple[int, int], ...]):
+def _run_worker_tree(prefix: tuple[tuple[int, int], ...]) -> _TreeResult:
     return _run_tree(*_worker_args, prefix)
 
 
 def _run_workers(
     ws: _WindowSystem, cfg: SearchConfig, start_size: int, deadline: float | None, workers: int
-) -> list[tuple[int, tuple[int, ...] | None, int, bool]]:
+) -> list[_TreeResult]:
     """_run_tree over the root subtrees on forked workers, in subtree order.
 
     Forked workers inherit the window tables and the shared budget
@@ -494,7 +650,8 @@ def _run_workers(
     mp = multiprocessing.get_context("fork")
     budget = _Budget(cfg.node_budget, deadline, mp)
     prefixes = _root_prefixes(ws, cfg, workers)
-    with mp.Pool(workers, _init_worker, (ws, start_size, budget)) as pool:
+    args = (ws, cfg.fix_translation, start_size, budget)
+    with mp.Pool(workers, _init_worker, args) as pool:
         return list(pool.imap(_run_worker_tree, prefixes))
 
 
@@ -535,9 +692,10 @@ def max_free_exact(
         outs = _run_workers(ws, cfg, best_size, deadline, workers)
     else:
         budget = _Budget(cfg.node_budget, deadline)
-        outs = [_run_tree(ws, best_size, budget, _frame_prefix(cfg, p, n))]
-    nodes = sum(o[2] for o in outs)
-    exhausted = all(o[3] for o in outs)
+        prefix = _frame_prefix(cfg, p, n)
+        outs = [_run_tree(ws, cfg.fix_translation, best_size, budget, prefix)]
+    nodes, bound_prunes, frame_prunes = (sum(c) for c in zip(*(o[3] for o in outs)))
+    exhausted = all(o[2] for o in outs)
     for size, st, _, _ in outs:  # the first subtree that reaches the maximum
         if size > best_size:
             best_size, best_set = size, st
@@ -553,6 +711,8 @@ def max_free_exact(
         optimal=exhausted,
         nodes=nodes,
         elapsed=time.monotonic() - t0,
+        bound_prunes=bound_prunes,
+        frame_prunes=frame_prunes,
     )
 
 

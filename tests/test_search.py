@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linefree import search
@@ -197,9 +200,14 @@ def test_warm_start_lower_bounds_the_answer():
 # --- worker processes ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fix", [False, True])
+SMALL = [(5, 2, 3, 6), (5, 2, 4, 11), (5, 2, 5, 16), (3, 2, 3, 4), (3, 3, 3, 9)]
+# the (7, 2, k) the framed search proves in seconds; k = 4, 5, 6 take minutes
+FRAMED_ONLY = [(7, 2, 3, 10), (7, 2, 7, 36)]
+
+
 @pytest.mark.parametrize(
-    "p, n, k, size", [(5, 2, 3, 6), (5, 2, 4, 11), (5, 2, 5, 16), (3, 2, 3, 4), (3, 3, 3, 9)]
+    "p, n, k, size, fix",
+    [(*c, fix) for c in SMALL for fix in (False, True)] + [(*c, True) for c in FRAMED_ONLY],
 )
 def test_thread_counts_agree_on_value_and_set(p, n, k, size, fix):
     # the first maximum set in depth-first order, whatever the split
@@ -210,16 +218,140 @@ def test_thread_counts_agree_on_value_and_set(p, n, k, size, fix):
 
 
 def test_root_split_respects_the_frame():
-    # before, the split ignored the fix_translation frame and most
-    # subtrees contradicted it at once
+    # every subtree starts from the frame, then decides the x-axis points
+    # and the y-axis points, so its frame caps are fixed
     cfg = SearchConfig(fix_translation=True)
     ws = search._window_system(7, 2, 7)
-    frame = ((2, 0), (2, 1), (2, 7))
     prefixes = search._root_prefixes(ws, cfg, 2)
     assert len(prefixes) >= 2 * search._SUBTREES_PER_WORKER
     assert prefixes == sorted(prefixes)  # depth-first: in before out
     for pre in prefixes:
-        assert search._Engine(ws, -1).run_prefix(frame + pre)
+        assert pre[:3] == ((2, 0), (2, 1), (2, 7))
+        assert [q for _, q in pre[3:]] == [2, 3, 4, 5, 6, 14, 21, 28, 35, 42]
+        assert search._Engine(ws, -1, framed=True).run_prefix(pre)  # live
+
+
+def test_root_split_stays_bounded_when_the_axes_are_long():
+    # F_11^2 has 18 undecided axis points; the split stops at 2^10 subtrees
+    ws = search._window_system(11, 2, 11)
+    prefixes = search._root_prefixes(ws, SearchConfig(fix_translation=True), 2)
+    assert 2 * search._SUBTREES_PER_WORKER <= len(prefixes) <= 2**search._AXIS_SPLIT_DEPTH
+
+
+@pytest.mark.parametrize(
+    "p, n, k, counts",
+    [
+        (5, 2, 3, (623, 182, 244)),
+        (5, 2, 4, (3428, 615, 2187)),
+        (5, 2, 5, (333, 117, 100)),
+        (3, 3, 3, (3418, 1648, 5)),
+        (7, 2, 7, (141906, 51119, 39669)),
+    ],
+)
+def test_frame_node_and_prune_counts_are_pinned(p, n, k, counts):
+    # (nodes, bound prunes, frame prunes) of a serial framed proof
+    r = max_free_exact(p, n, k, fix_translation=True)
+    assert r.optimal
+    assert (r.nodes, r.bound_prunes, r.frame_prunes) == counts
+
+
+def test_prune_counts_sum_over_workers():
+    # a split search reports the sums of its subtrees' counts
+    cfg = SearchConfig(fix_translation=True)
+    ws = search._window_system(5, 2, 4)
+    budget = search._Budget(cfg.node_budget, None)
+    prefixes = search._root_prefixes(ws, cfg, 2)
+    subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
+    split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
+    sums = tuple(map(sum, zip(*(o[3] for o in subtrees))))
+    assert (split.nodes, split.bound_prunes, split.frame_prunes) == sums
+    assert split.bound_prunes > 0 and split.frame_prunes > 0
+    assert max_free_exact(5, 2, 4, threads=2).frame_prunes == 0
+
+
+def _plane_lines(p: int) -> np.ndarray:
+    """Incidence (lines x points) of F_p^2, point (x, y) at index x + p*y."""
+    rows = []
+    for d in [(1, m) for m in range(p)] + [(0, 1)]:
+        for base in range(p * p):
+            pts = {((base % p + t * d[0]) % p) + p * ((base // p + t * d[1]) % p) for t in range(p)}
+            rows.append(tuple(sorted(pts)))
+    mat = np.zeros((len(set(rows)), p * p), dtype=np.int64)
+    for i, pts in enumerate(sorted(set(rows))):
+        mat[i, list(pts)] = 1
+    return mat
+
+
+def _meets_frame_rules(out: np.ndarray, lines: np.ndarray, p: int) -> np.ndarray:
+    """Rows of `out` (complements, one 0/1 row each) the frame admits."""
+    (x_ix,) = np.nonzero(lines[:, 0] & lines[:, 1])[0]  # through 0 and e_1
+    (y_ix,) = np.nonzero(lines[:, 0] & lines[:, p])[0]  # through 0 and e_2
+    counts = out @ lines.T  # out(l) per complement and line
+    ok = (out[:, 0] == 1) & (out[:, 1] == 1) & (out[:, p] == 1)
+    ok &= (counts <= counts[:, [x_ix]]).all(axis=1)
+    # lines other than the x-axis through an out point of the x-axis
+    x_pts = np.nonzero(lines[x_ix])[0]
+    guarded = out[:, x_pts] @ lines[:, x_pts].T > 0
+    guarded[:, x_ix] = False
+    ok &= ((counts <= counts[:, [y_ix]]) | ~guarded).all(axis=1)
+    return ok
+
+
+def _random_maximal_line_free(p: int, seed: int) -> np.ndarray:
+    """0/1 vector of a maximal subset of F_p^2 holding no full line."""
+    lines = _plane_lines(p)
+    member = np.zeros(p * p, dtype=np.int64)
+    for q in np.random.default_rng(seed).permutation(p * p):
+        member[q] = 1
+        if (lines @ member == p).any():
+            member[q] = 0
+    return member
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frame_admits_an_affine_image_of_every_maximal_line_free_set(seed):
+    # brute force over AGL(2, 5): some image of a maximal free set has a
+    # complement meeting both frame rules, and the framed engine accepts it
+    p = 5
+    member = _random_maximal_line_free(p, seed)
+    lines = _plane_lines(p)
+    xy = np.array([(i % p, i // p) for i in range(p * p)])
+    images = []
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p == 0:
+            continue
+        mapped = (xy @ np.array([[a, b], [c, d]]).T) % p
+        for tx, ty in itertools.product(range(p), repeat=2):
+            image = ((mapped[:, 0] + tx) % p) + p * ((mapped[:, 1] + ty) % p)
+            bits = np.zeros(p * p, dtype=np.int64)
+            bits[image[member == 1]] = 1
+            images.append(bits)
+    images = np.array(images)
+    assert len(images) == 480 * 25
+    admitted = images[_meets_frame_rules(1 - images, lines, p)]
+    assert len(admitted) > 0
+    ws = search._window_system(p, 2, p)
+    for bits in admitted[:5]:
+        eng = search._Engine(ws, -1, framed=True)
+        frame = search._frame_prefix(SearchConfig(fix_translation=True), p, 2)
+        decisions = [(1 if b else 2, int(q)) for q, b in enumerate(bits)]
+        assert eng.run_prefix(frame + tuple(decisions))
+
+
+def test_window_system_cache_holds_at_most_the_table_budget(monkeypatch):
+    monkeypatch.setattr(search, "_systems", OrderedDict())
+    # 72 and 784 entries fit together; 300 more do not
+    monkeypatch.setattr(search, "TABLE_BUDGET", 72 + 784)
+    a = search._window_system(3, 2, 3)
+    b = search._window_system(7, 2, 7)
+    assert [ws.entries for ws in search._systems.values()] == [72, 784]
+    assert search._window_system(3, 2, 3) is a  # a hit makes it most recent
+    search._window_system(5, 2, 5)  # evicts the least recently used
+    assert list(search._systems) == [(3, 2, 3), (5, 2, 5)]
+    assert search._window_system(7, 2, 7) is not b  # rebuilt
+    assert list(search._systems) == [(7, 2, 7)]
+    assert sum(ws.entries for ws in search._systems.values()) <= search.TABLE_BUDGET
+    assert max_free_exact(7, 2, 7, node_budget=10).size == 36
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
