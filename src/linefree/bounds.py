@@ -435,21 +435,13 @@ class CertifiedResult:
     trace: tuple[tuple[int, str], ...]  # (target, verdict) in the order tried
 
 
-def certified_upper(
-    p: int,
-    start: int,
-    *,
-    max_steps: int = 3,
-    paper_faithful: bool = False,
-    max_candidates: int = 500_000,
-    max_nodes: int = 20_000_000,
-) -> CertifiedResult:
+def certified_upper(p: int, start: int, *, max_steps: int = 3) -> CertifiedResult:
     """Largest certified bound obtainable by refuting sizes downward.
 
     Tries T = start, start-1, ... while the certificate engine returns
     INFEASIBLE (each refutation proves the maximum is < T); stops at the
-    first UNKNOWN or after max_steps attempts.  Deterministic for fixed
-    arguments.
+    first UNKNOWN or after max_steps attempts, each at the certificate
+    engine's default budget.  Deterministic for fixed arguments.
     """
     from . import certify as ct  # deferred: certify imports verifier only
 
@@ -457,12 +449,7 @@ def certified_upper(
     value: int | None = None
     t = start
     for _ in range(max_steps):
-        cert = ct.prove_infeasible(
-            ct.make_instance(p, t),
-            paper_faithful=paper_faithful,
-            max_candidates=max_candidates,
-            max_nodes=max_nodes,
-        )
+        cert = ct.prove_infeasible(ct.make_instance(p, t))
         trace.append((t, cert.verdict))
         if cert.verdict != ct.INFEASIBLE:
             break
@@ -509,21 +496,16 @@ class BoundsReport:
 
 
 def bounds_report(
-    p: int,
-    n: int,
-    k: int | None = None,
-    *,
-    include_certified: bool = True,
-    certify_steps: int = 2,
-    paper_faithful: bool = False,
+    p: int, n: int, k: int | None = None, *, include_certified: bool = True
 ) -> BoundsReport:
     """Assemble lower and upper bounds for r_k(F_p^n).
 
     For k = p: constructions give lower bounds; blocking-set, recursive,
     cubic, and (for n = 3, p in the certificate table) certified bounds
-    give upper bounds.  For k < p: the box (k-1)^n and product splits
-    give lower bounds; the recursive chain from the exact one-dimensional
-    value gives the upper bound.
+    give upper bounds, the last from two certificate steps.  For k < p:
+    the box (k-1)^n and product splits give lower bounds.  The recursive
+    chain starts from the exact plane value (p-1)^2 for k = p and from the
+    exact one-dimensional value for k < p.
     """
     _require_prime(p)
     if n < 1:
@@ -540,28 +522,37 @@ def bounds_report(
 
     if k == p:
         lower = lower_closed_forms(p, n)
-        ap, szik = upper_simple(p, n)
-        upper["ap"] = ap
-        upper["sziklai"] = szik
-        if n >= 2:
-            # chain the recursive bound up from the exact value (p-1)^2 at n=2
-            r: int = (p - 1) ** 2 if n >= 2 else p - 1
-            if n == 2:
-                upper["exact"] = r
-                notes.append("r_p of the plane is exactly (p-1)^2")
-            dim = 2
-            last: RecursiveBound | None = None
-            while dim < n:
-                last = upper_recursive(p, dim, k, r)
-                r = last.floor
-                dim += 1
-            if last is not None:
-                upper["recursive"] = last.floor
-                upper_real["recursive"] = last.decimal_up
-                notes.append(
-                    f"recursive chain from r_p(plane) = {(p - 1) ** 2}; "
-                    f"pair-plane incidence count s = {last.pair_incidences} at the floor"
-                )
+        upper["ap"], upper["sziklai"] = upper_simple(p, n)
+        dim, r = 2, (p - 1) ** 2
+        chain_note = f"recursive chain from r_p(plane) = {r}"
+        if n == 2:
+            upper["exact"] = r
+            notes.append("r_p of the plane is exactly (p-1)^2")
+    else:
+        from .search import one_dim_cap
+
+        dim, r = 1, one_dim_cap(p, k)
+        chain_note = f"recursive chain from exact 1-d value r_{k} = {r}"
+        lower = {"box": LowerEntry("box", (k - 1) ** n, f"(k-1)^{n}", False)}
+        if n == 1:
+            lower["exact"] = LowerEntry("exact", r, "exact 1-d maximum", True)
+            upper["exact"] = r
+        elif r > k - 1:
+            lower["cyclic-product"] = LowerEntry(
+                "cyclic-product", r**n, f"{r}^{n} from the 1-d maximum", False
+            )
+
+    if dim < n:
+        for d in range(dim, n):
+            last = upper_recursive(p, d, k, r)
+            r = last.floor
+        upper["recursive"] = last.floor
+        upper_real["recursive"] = last.decimal_up
+        if k == p:
+            chain_note += f"; pair-plane incidence count s = {last.pair_incidences} at the floor"
+        notes.append(chain_note)
+
+    if k == p:
         if n == 3:
             cb = upper_cubic(p)
             upper["cubic"] = cb.exact.floor
@@ -571,13 +562,7 @@ def bounds_report(
             from . import certify as ct
 
             if p in ct.DEFAULT_SUBPLANE_TABLE:
-                start = min(upper.values())
-                res = certified_upper(
-                    p,
-                    start,
-                    max_steps=certify_steps,
-                    paper_faithful=paper_faithful,
-                )
+                res = certified_upper(p, min(upper.values()), max_steps=2)
                 for t, verdict in res.trace:
                     notes.append(f"certify target {t}: {verdict}")
                 if res.value is not None:
@@ -585,30 +570,6 @@ def bounds_report(
         best = max(e.size for e in lower.values())
         rates.append(alpha_from_set(best, n))
         rates.append(alpha_fgr(p))
-    else:
-        from .search import one_dim_cap
-
-        base = one_dim_cap(p, k)
-        lower_entries: dict[str, LowerEntry] = {
-            "box": LowerEntry("box", (k - 1) ** n, f"(k-1)^{n}", False)
-        }
-        if n == 1:
-            lower_entries["exact"] = LowerEntry("exact", base, "exact 1-d maximum", True)
-            upper["exact"] = base
-        else:
-            r = base
-            last = None
-            for dim in range(1, n):
-                last = upper_recursive(p, dim, k, r)
-                r = last.floor
-            upper["recursive"] = last.floor
-            upper_real["recursive"] = last.decimal_up
-            notes.append(f"recursive chain from exact 1-d value r_{k} = {base}")
-            if base > k - 1:
-                lower_entries["cyclic-product"] = LowerEntry(
-                    "cyclic-product", base**n, f"{base}^{n} from the 1-d maximum", False
-                )
-        lower = lower_entries
 
     report = BoundsReport(
         p=p,

@@ -28,6 +28,13 @@ exists, hence the maximum is < T.  Any surviving candidate, a null space
 of the wrong dimension, or an exhausted enumeration budget yields
 UNKNOWN.  Certificates carry the full candidate log (or its SHA-256
 digest) and can be replayed bit-for-bit.
+
+`prove_infeasible` is the one way to a Certificate: `_decide` takes the
+steps above in order and the first that settles the target gives the
+verdict, and the Certificate is built in one place.  Distributions and
+rich pencils come from one multiset enumerator.  The enumeration budget
+is max_nodes, a call argument, and MAX_CANDIDATES, a constant; both are
+part of every digest.
 """
 
 from __future__ import annotations
@@ -66,6 +73,12 @@ ENGINE_VERSION = 1
 #: Bytes the candidate enumeration may hold in its state tables and in
 #: its candidate rows; a larger request raises ResourceBudgetError.
 ENUMERATION_BYTE_BUDGET = 2**29
+
+#: Most candidate rows an enumeration may return; more is budget-exhausted.
+MAX_CANDIDATES = 500_000
+
+#: Largest candidate log that to_dict() embeds in full.
+FULL_LOG_LIMIT = 1000
 
 
 class NullSpaceError(ValueError):
@@ -158,34 +171,42 @@ def make_instance(
     return ExclusionInstance(p=p, target=target, plane_cap=plane_cap, sub_cap=sub_cap)
 
 
+def _multisets(
+    sizes: tuple[int, ...], slots: int, total: int
+) -> tuple[tuple[int, ...], ...]:
+    """Multisets of `slots` entries of the monotone tuple sizes summing to total.
+
+    Each multiset is a tuple in the order of sizes, and the tuples come in
+    lexicographic order of their positions in sizes.
+    """
+    out: list[tuple[int, ...]] = []
+    stack: list[int] = []
+
+    def rec(start: int, remaining: int, k: int) -> None:
+        if k == 0:
+            if remaining == 0:
+                out.append(tuple(stack))
+            return
+        for i in range(start, len(sizes)):
+            s = sizes[i]
+            # the k entries still to place lie between s and sizes[-1]; the
+            # window only narrows as i grows, so no later size fits either
+            if not k * min(s, sizes[-1]) <= remaining <= k * max(s, sizes[-1]):
+                break
+            stack.append(s)
+            rec(i, remaining - s, k - 1)
+            stack.pop()
+
+    rec(0, total, slots)
+    return tuple(out)
+
+
 def class_distributions(inst: ExclusionInstance) -> tuple[tuple[int, ...], ...]:
     """All multisets of p allowed plane sizes summing to the target.
 
     Returned as nondecreasing tuples in ascending lexicographic order.
     """
-    sizes = inst.allowed_sizes
-    p, t = inst.p, inst.target
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(start: int, remaining: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(stack))
-            return
-        if remaining > sizes[-1] * slots:
-            return
-        for i in range(start, len(sizes)):
-            s = sizes[i]
-            if s * slots > remaining:  # nondecreasing: later slots are >= s
-                break
-            stack.append(s)
-            rec(i, remaining - s, slots - 1)
-            stack.pop()
-
-    if sizes:
-        rec(0, t, p)
-    return tuple(out)
+    return _multisets(inst.allowed_sizes, inst.p, inst.target)
 
 
 def pair_coefficients(dists: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -198,30 +219,7 @@ def rich_pencil_multisets(inst: ExclusionInstance) -> tuple[tuple[int, ...], ...
 
     Nonincreasing tuples, descending lexicographic order.
     """
-    sizes = inst.rich_sizes  # descending
-    total = inst.rich_pencil_sum
-    slots = inst.p + 1
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def rec(start: int, remaining: int, k: int) -> None:
-        if k == 0:
-            if remaining == 0:
-                out.append(tuple(stack))
-            return
-        for i in range(start, len(sizes)):
-            s = sizes[i]
-            if s * k < remaining:  # nonincreasing: later choices are <= s
-                break
-            if remaining - s < (k - 1) * sizes[-1]:  # s overshoots
-                continue
-            stack.append(s)
-            rec(i, remaining - s, k - 1)
-            stack.pop()
-
-    if sizes:
-        rec(0, total, slots)
-    return tuple(out)
+    return _multisets(inst.rich_sizes, inst.p + 1, inst.rich_pencil_sum)
 
 
 def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -247,6 +245,17 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return rows
 
 
+def _null_vector(
+    rref: list[list[Fraction]], pivots: list[int], free: int, ncols: int
+) -> tuple[Fraction, ...]:
+    """The null-space vector of a reduced system that is 1 at column free."""
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for r, pc in zip(rref, pivots):
+        vec[pc] = -r[free]
+    return tuple(vec)
+
+
 def null_weights(inst: ExclusionInstance) -> dict[int, int]:
     """Primitive integer weights w(size) vanishing on every rich pencil.
 
@@ -258,45 +267,24 @@ def null_weights(inst: ExclusionInstance) -> dict[int, int]:
     Raises NullSpaceError otherwise.
     """
     sizes = inst.rich_sizes
-    multis = rich_pencil_multisets(inst)
     ncols = len(sizes)
-    if ncols == 0:
-        raise NullSpaceError(0, ())
-    col = {s: j for j, s in enumerate(sizes)}
-    rows = []
-    for m in multis:
-        row = [Fraction(0)] * ncols
-        for s in m:
-            row[col[s]] += 1
-        rows.append(row)
-    rref = _rref([r[:] for r in rows])
+    rref = _rref(
+        [[Fraction(m.count(s)) for s in sizes] for m in rich_pencil_multisets(inst)]
+    )
     pivots = []
     for r in rref:
         nz = next((j for j, v in enumerate(r) if v != 0), None)
         if nz is not None:
             pivots.append(nz)
-    free = [j for j in range(ncols) if j not in pivots]
-    dim = len(free)
-    if dim != 1:
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * ncols
-            vec[f] = Fraction(1)
-            for r, pc in zip(rref, pivots):
-                vec[pc] = -r[f]
-            basis.append(tuple(vec))
-        raise NullSpaceError(dim, tuple(basis))
-    f = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[f] = Fraction(1)
-    for r, pc in zip(rref, pivots):
-        vec[pc] = -r[f]
-    den = lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // (g or 1) for v in ints]
+    basis = tuple(
+        _null_vector(rref, pivots, f, ncols) for f in range(ncols) if f not in pivots
+    )
+    if len(basis) != 1:
+        raise NullSpaceError(len(basis), basis)
+    den = lcm(*(v.denominator for v in basis[0]))
+    ints = [int(v * den) for v in basis[0]]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
     if ints[0] < 0:
         ints = [-v for v in ints]
     if ints[0] <= 0:
@@ -337,26 +325,6 @@ def rich_count_bounds(
     return los, caps, notes
 
 
-def bound_expressions(
-    inst: ExclusionInstance,
-    dists: tuple[tuple[int, ...], ...],
-    *,
-    paper_faithful: bool = False,
-) -> dict[int, tuple[int, ...]]:
-    """Per-distribution rich-line bound contributions, keyed by plane size.
-
-    For the largest rich size M the entry is lo(M) * multiplicity(M, D)
-    (a lower bound on rich lines in that class's M-planes); for every
-    other rich size s it is cap(s) * multiplicity(s, D).
-    """
-    los, caps, _ = rich_count_bounds(inst, paper_faithful=paper_faithful)
-    out: dict[int, tuple[int, ...]] = {}
-    for s in inst.rich_sizes:
-        scale = los[s] if s == inst.plane_cap else caps[s]
-        out[s] = tuple(scale * d.count(s) for d in dists)
-    return out
-
-
 def _margin_coefficients(
     inst: ExclusionInstance,
     dists: tuple[tuple[int, ...], ...],
@@ -373,27 +341,18 @@ def _margin_coefficients(
     (weights None) rich lines cannot exist, so any plane size with a
     positive rich-line lower bound is itself contradictory.
     """
-    coeffs = np.zeros(len(dists), dtype=np.int64)
     if weights is None:
-        lo_cache = {s: lp_line_bounds(inst.p, s).min for s in inst.allowed_sizes}
-        for j, d in enumerate(dists):
-            coeffs[j] = sum(lo_cache[s] for s in d)
-        return coeffs
-    for j, d in enumerate(dists):
-        acc = 0
-        for s in set(d):
-            if s not in weights:
-                continue
-            w = weights[s]
-            mult = d.count(s)
+        per_size = {s: lp_line_bounds(inst.p, s).min for s in inst.allowed_sizes}
+    else:
+        # a size with w > 0 other than the cap, or with w == 0, contributes
+        # its trivial lower bound 0
+        per_size = {}
+        for s, w in weights.items():
             if s == inst.plane_cap and w > 0:
-                acc += w * los[s] * mult
+                per_size[s] = w * los[s]
             elif w < 0:
-                acc += w * caps[s] * mult
-            # sizes with w > 0 other than the cap, or w == 0, contribute
-            # their trivial lower bound 0
-        coeffs[j] = acc
-    return coeffs
+                per_size[s] = w * caps[s]
+    return np.array([sum(per_size.get(s, 0) for s in d) for d in dists], dtype=np.int64)
 
 
 # The enumeration is the v1 depth-first search, which the digests pin.  It
@@ -569,7 +528,6 @@ class Certificate:
     verdict: str
     reason: str
     paper_faithful: bool
-    max_candidates: int
     max_nodes: int
     distributions: tuple[tuple[int, ...], ...]
     coefficients: tuple[int, ...]
@@ -606,7 +564,7 @@ class Certificate:
                 "plane_cap": self.instance.plane_cap,
                 "sub_cap": self.instance.sub_cap,
                 "paper_faithful": self.paper_faithful,
-                "max_candidates": self.max_candidates,
+                "max_candidates": MAX_CANDIDATES,
                 "max_nodes": self.max_nodes,
                 "verdict": self.verdict,
                 "reason": self.reason,
@@ -619,7 +577,7 @@ class Certificate:
         h.update(np.ascontiguousarray(self.margins, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def to_dict(self, *, full_log_limit: int = 1000) -> dict:
+    def to_dict(self) -> dict:
         d = {
             "engine": ENGINE_VERSION,
             "p": self.instance.p,
@@ -634,7 +592,7 @@ class Certificate:
             "verdict": self.verdict,
             "reason": self.reason,
             "paper_faithful": self.paper_faithful,
-            "max_candidates": self.max_candidates,
+            "max_candidates": MAX_CANDIDATES,
             "max_nodes": self.max_nodes,
             "distributions": [list(x) for x in self.distributions],
             "coefficients": list(self.coefficients),
@@ -649,13 +607,13 @@ class Certificate:
             "witness": None if self.witness is None else list(self.witness),
             "digest": self.digest,
         }
-        if self.candidate_count <= full_log_limit:
+        if self.candidate_count <= FULL_LOG_LIMIT:
             d["candidates"] = self.candidates.tolist()
             d["margins"] = self.margins.tolist()
         return d
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(**kw), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render_text(self) -> str:
         inst = self.instance
@@ -696,10 +654,7 @@ class Certificate:
     def replay(self) -> bool:
         """Recompute from the instance and compare logs bit for bit."""
         fresh = prove_infeasible(
-            self.instance,
-            paper_faithful=self.paper_faithful,
-            max_candidates=self.max_candidates,
-            max_nodes=self.max_nodes,
+            self.instance, paper_faithful=self.paper_faithful, max_nodes=self.max_nodes
         )
         return (
             fresh.verdict == self.verdict
@@ -710,151 +665,31 @@ class Certificate:
         )
 
 
-def _empty_cert(
-    inst: ExclusionInstance,
-    verdict: str,
-    reason: str,
-    paper_faithful: bool,
-    max_candidates: int,
-    max_nodes: int,
-    dists: tuple[tuple[int, ...], ...] = (),
-    coeffs: tuple[int, ...] = (),
-    weights: dict[int, int] | None = None,
-    los: dict[int, int] | None = None,
-    caps: dict[int, int] | None = None,
-    notes: tuple[str, ...] = (),
-) -> Certificate:
-    return Certificate(
-        instance=inst,
-        verdict=verdict,
-        reason=reason,
-        paper_faithful=paper_faithful,
-        max_candidates=max_candidates,
-        max_nodes=max_nodes,
-        distributions=dists,
-        coefficients=coeffs,
-        weights=weights,
-        rich_lower=los or {},
-        rich_caps=caps or {},
-        cap_notes=notes,
-        candidates=np.zeros((0, len(dists)), dtype=np.int32),
-        margins=np.zeros(0, dtype=np.int64),
-        witness_index=None,
-    )
-
-
 def prove_infeasible(
     inst: ExclusionInstance,
     *,
     paper_faithful: bool = False,
-    max_candidates: int = 500_000,
     max_nodes: int = 20_000_000,
 ) -> Certificate:
     """Attempt to prove that no target-sized set avoids full lines.
 
-    Deterministic for fixed arguments.  max_nodes and max_candidates
+    Deterministic for fixed arguments.  max_nodes and MAX_CANDIDATES
     bound the candidate enumeration as `_enumerate_candidates` defines
     them; a step over either budget is UNKNOWN with no candidates.
     """
-    p, t = inst.p, inst.target
-    if t > p * inst.plane_cap:
-        return _empty_cert(
-            inst,
-            INFEASIBLE,
-            f"pigeonhole: target {t} exceeds p * plane_cap = {p * inst.plane_cap}",
-            paper_faithful,
-            max_candidates,
-            max_nodes,
-        )
-
     dists = class_distributions(inst)
-    if not dists:
-        return _empty_cert(
-            inst,
-            INFEASIBLE,
-            "no multiset of allowed plane sizes attains the target",
-            paper_faithful,
-            max_candidates,
-            max_nodes,
-        )
     coeffs = pair_coefficients(dists)
-
-    weights: dict[int, int] | None
-    multis = rich_pencil_multisets(inst)
-    los, caps, notes = rich_count_bounds(inst, paper_faithful=paper_faithful)
-    if multis:
-        try:
-            weights = null_weights(inst)
-        except NullSpaceError as e:
-            return _empty_cert(
-                inst,
-                UNKNOWN,
-                f"rich-pencil null space has dimension {e.dimension}, need 1",
-                paper_faithful,
-                max_candidates,
-                max_nodes,
-                dists,
-                coeffs,
-                None,
-                los,
-                caps,
-                tuple(notes),
-            )
-    else:
-        weights = None  # rich lines impossible; margins use raw lower bounds
-
-    margin_coeffs = _margin_coefficients(inst, dists, weights, los, caps)
-
-    candidates, truncated = _enumerate_candidates(
-        coeffs, inst.num_classes, inst.pair_rhs, max_candidates, max_nodes
+    los, caps, notes = (
+        rich_count_bounds(inst, paper_faithful=paper_faithful) if dists else ({}, {}, [])
     )
-    if truncated:
-        return _empty_cert(
-            inst,
-            UNKNOWN,
-            f"enumeration budget exhausted (max_candidates={max_candidates}, "
-            f"max_nodes={max_nodes})",
-            paper_faithful,
-            max_candidates,
-            max_nodes,
-            dists,
-            coeffs,
-            weights,
-            los,
-            caps,
-            tuple(notes),
-        )
-
-    cand64 = candidates.astype(np.int64)
-    if not (cand64 @ np.asarray(coeffs, dtype=np.int64) == inst.pair_rhs).all():
-        raise AssertionError("enumeration produced a vector violating the pair count")
-    if not (cand64.sum(axis=1) == inst.num_classes).all():
-        raise AssertionError("enumeration produced a vector violating the class count")
-
-    margins = cand64 @ margin_coeffs
-    not_refuted = np.flatnonzero(margins <= 0)
-    if candidates.shape[0] == 0:
-        verdict, reason, widx = (
-            INFEASIBLE,
-            "no assignment of distributions to classes meets the pair count",
-            None,
-        )
-    elif not_refuted.size == 0:
-        verdict, reason, widx = (
-            INFEASIBLE,
-            "every candidate assignment is refuted by the rich-line inequality",
-            None,
-        )
-    else:
-        widx = int(not_refuted[0])
-        verdict, reason = UNKNOWN, "a candidate assignment survives all refutations"
-
+    verdict, reason, weights, candidates, margins, witness_index = _decide(
+        inst, dists, coeffs, los, caps, max_nodes
+    )
     return Certificate(
         instance=inst,
         verdict=verdict,
         reason=reason,
         paper_faithful=paper_faithful,
-        max_candidates=max_candidates,
         max_nodes=max_nodes,
         distributions=dists,
         coefficients=coeffs,
@@ -864,5 +699,60 @@ def prove_infeasible(
         cap_notes=tuple(notes),
         candidates=candidates,
         margins=margins,
-        witness_index=widx,
+        witness_index=witness_index,
     )
+
+
+def _decide(
+    inst: ExclusionInstance,
+    dists: tuple[tuple[int, ...], ...],
+    coeffs: tuple[int, ...],
+    los: dict[int, int],
+    caps: dict[int, int],
+    max_nodes: int,
+) -> tuple[str, str, dict[int, int] | None, np.ndarray, np.ndarray, int | None]:
+    """(verdict, reason, weights, candidates, margins, witness_index)."""
+    p, t = inst.p, inst.target
+    no_rows = np.zeros((0, len(dists)), dtype=np.int32)
+    no_margins = np.zeros(0, dtype=np.int64)
+    if t > p * inst.plane_cap:
+        reason = f"pigeonhole: target {t} exceeds p * plane_cap = {p * inst.plane_cap}"
+        return INFEASIBLE, reason, None, no_rows, no_margins, None
+    if not dists:
+        reason = "no multiset of allowed plane sizes attains the target"
+        return INFEASIBLE, reason, None, no_rows, no_margins, None
+
+    weights = None  # without a rich pencil, margins use raw lower bounds
+    if rich_pencil_multisets(inst):
+        try:
+            weights = null_weights(inst)
+        except NullSpaceError as e:
+            reason = f"rich-pencil null space has dimension {e.dimension}, need 1"
+            return UNKNOWN, reason, None, no_rows, no_margins, None
+
+    candidates, truncated = _enumerate_candidates(
+        coeffs, inst.num_classes, inst.pair_rhs, MAX_CANDIDATES, max_nodes
+    )
+    if truncated:
+        reason = (
+            f"enumeration budget exhausted (max_candidates={MAX_CANDIDATES}, "
+            f"max_nodes={max_nodes})"
+        )
+        return UNKNOWN, reason, weights, no_rows, no_margins, None
+
+    cand64 = candidates.astype(np.int64)
+    if not (cand64 @ np.asarray(coeffs, dtype=np.int64) == inst.pair_rhs).all():
+        raise AssertionError("enumeration produced a vector violating the pair count")
+    if not (cand64.sum(axis=1) == inst.num_classes).all():
+        raise AssertionError("enumeration produced a vector violating the class count")
+
+    margins = cand64 @ _margin_coefficients(inst, dists, weights, los, caps)
+    not_refuted = np.flatnonzero(margins <= 0)
+    if candidates.shape[0] == 0:
+        reason = "no assignment of distributions to classes meets the pair count"
+        return INFEASIBLE, reason, weights, candidates, margins, None
+    if not_refuted.size == 0:
+        reason = "every candidate assignment is refuted by the rich-line inequality"
+        return INFEASIBLE, reason, weights, candidates, margins, None
+    reason = "a candidate assignment survives all refutations"
+    return UNKNOWN, reason, weights, candidates, margins, int(not_refuted[0])

@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bounds import alpha_from_set, alpha_fgr, bounds_report, upper_recursive, upper_simple
 from .certify import INFEASIBLE, UNKNOWN, make_instance, prove_infeasible
@@ -31,6 +33,7 @@ from .geometry import ResourceBudgetError, SpaceSpec
 from .pointset import (
     GridFormatError,
     PointSet,
+    grid_blocks,
     parse_grid_document,
     product as set_product,
     render_grid,
@@ -359,36 +362,22 @@ def _selftest_product() -> None:
 # render
 
 
-def _tikz_source(s: PointSet, k: int) -> str:
+def _tikz_source(s: PointSet) -> str:
     """Standalone TikZ picture, one p x p grid per layer, left to right."""
     p = s.space.p
-    blocks: list[tuple[str, list[str]]] = []
-    body = render_grid(s, k).splitlines()
-    i = 0
-    while i < len(body):
-        if body[i].startswith("layer"):
-            label = body[i][6:].strip()
-            rows = body[i + 1 : i + 1 + p]
-            blocks.append((label, rows))
-            i += 1 + p
-        else:
-            i += 1
     out = [
         "\\documentclass[tikz]{standalone}",
         "\\begin{document}",
         "\\begin{tikzpicture}[x=0.35cm,y=0.35cm]",
     ]
     gap = p + 2
-    for bi, (label, rows) in enumerate(blocks):
+    for bi, (label, block) in enumerate(grid_blocks(s)):
         x0 = bi * gap
         out.append(f"\\draw[step=1,gray,very thin] ({x0},0) grid ({x0 + p},{p});")
-        for r, row in enumerate(rows):
-            for c, ch in enumerate(row):
-                if ch == "X":
-                    out.append(
-                        f"\\fill ({x0 + c}.1,{p - 1 - r}.1) rectangle "
-                        f"({x0 + c}.9,{p - 1 - r}.9);"
-                    )
+        for r, c in np.argwhere(block).tolist():
+            out.append(
+                f"\\fill ({x0 + c}.1,{p - 1 - r}.1) rectangle ({x0 + c}.9,{p - 1 - r}.9);"
+            )
         out.append(
             f"\\node[below] at ({x0 + p / 2},-0.3) {{\\footnotesize layer {label}}};"
         )
@@ -400,7 +389,7 @@ def _tikz_source(s: PointSet, k: int) -> str:
 def cmd_render(args) -> int:
     doc = _read_grid(args.file)
     if args.tikz:
-        sys.stdout.write(_tikz_source(doc.pointset, doc.k))
+        sys.stdout.write(_tikz_source(doc.pointset))
     else:
         sys.stdout.write(render_grid(doc.pointset, doc.k))
     return EXIT_OK

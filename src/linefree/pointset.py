@@ -173,48 +173,36 @@ def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[i
     return PointSet.from_indices(space, image @ t.powers)
 
 
+def grid_blocks(s: PointSet) -> list[tuple[str, np.ndarray]]:
+    """(layer tag, p x p bool block) of every nonempty layer, in file order.
+
+    Layers come in lexicographic order of the first n-2 coordinates; a
+    block's rows are the next-to-last coordinate and its columns the last.
+    """
+    p, n = s.space.p, s.space.n
+    # point index = sum c_i p^(i-1), so the reversed axes are c_1, ..., c_n
+    blocks = s.bits.reshape((p,) * n).transpose().reshape(-1, p, p)
+    return [
+        (",".join(map(str, np.unravel_index(j, (p,) * (n - 2)))) if n > 2 else "-", blocks[j])
+        for j in np.flatnonzero(blocks.any(axis=(1, 2)))
+    ]
+
+
 def render_grid(s: PointSet, k: int | None = None) -> str:
     """Serialize a set to grid text, deterministically."""
-    space = s.space
-    if space.n < 2:
+    p, n = s.space.p, s.space.n
+    if n < 2:
         raise ValueError("the grid format needs n >= 2")
-    p, n = space.p, space.n
     if k is None:
         k = p
     if not 3 <= k <= p:
         raise ValueError(f"k must be in [3, p], got {k}")
-    t = space_tables(p, n)
-    lines = [GRID_MAGIC, f"p={p} n={n} k={k}"]
-    idx = s.indices()
-    coords = t.coords[idx] if idx.size else np.empty((0, n), dtype=np.int64)
-    keys = (
-        coords[:, : n - 2] @ t.powers[: n - 2]
-        if n > 2
-        else np.zeros(len(coords), dtype=np.int64)
-    )
-    rows = coords[:, n - 2] if len(coords) else np.empty(0, dtype=np.int64)
-    cols = coords[:, n - 1] if len(coords) else np.empty(0, dtype=np.int64)
-    # keys in lexicographic order of (c_1, ..., c_{n-2}) = colex of the radix key
-    order = sorted(set(int(v) for v in keys), key=lambda key: _key_tuple(p, n, key))
-    for key in order:
-        sel = keys == key
-        lines.append("")
-        if n == 2:
-            lines.append("layer -")
-        else:
-            lines.append("layer " + ",".join(str(c) for c in _key_tuple(p, n, key)))
-        block = np.full((p, p), ".", dtype="<U1")
-        block[rows[sel], cols[sel]] = "X"
-        lines.extend("".join(row) for row in block)
-    return "\n".join(lines) + "\n"
-
-
-def _key_tuple(p: int, n: int, key: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n - 2):
-        key, c = divmod(key, p)
-        out.append(c)
-    return tuple(out)
+    out = [f"{GRID_MAGIC}\np={p} n={n} k={k}\n"]
+    for tag, block in grid_blocks(s):
+        chars = np.full((p, p + 1), ord("\n"), dtype=np.uint8)
+        chars[:, :p] = np.where(block, ord("X"), ord("."))
+        out.append(f"\nlayer {tag}\n" + chars.tobytes().decode("ascii"))
+    return "".join(out)
 
 
 class GridDocument:
@@ -263,6 +251,8 @@ def parse_grid_document(text: str) -> GridDocument:
         raise GridFormatError(f"k must be in [3, p], got {k}", no)
 
     bits = np.zeros(space.num_points, dtype=np.bool_)
+    # a writable view indexed (c_1, ..., c_n), as in grid_blocks
+    grid = bits.reshape((p,) * n).transpose()
     pos = 2
     seen_keys = set()
     while pos < len(lines):
@@ -287,19 +277,16 @@ def parse_grid_document(text: str) -> GridDocument:
         if key in seen_keys:
             raise GridFormatError(f"duplicate layer {tag!r}", no)
         seen_keys.add(key)
-        key_index = sum(c * p**i for i, c in enumerate(key))
         pos += 1
         for r in range(p):
             if pos >= len(lines):
                 raise GridFormatError(f"layer {tag!r} is missing row {r}", no)
             rno, row = lines[pos]
-            if len(row) != p or any(ch not in "X." for ch in row):
+            if len(row) != p or row.strip("X."):
                 raise GridFormatError(
                     f"rows must be {p} characters of 'X' or '.', got {row!r}", rno
                 )
-            for c, ch in enumerate(row):
-                if ch == "X":
-                    bits[key_index + r * p ** (n - 2) + c * p ** (n - 1)] = True
+            grid[key + (r,)] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("X")
             pos += 1
     doc = PointSet(space, bits)
     return GridDocument(doc, k)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from math import isqrt
 
@@ -270,6 +272,26 @@ def test_bounds_report_k_less_than_p():
     assert rep.best_upper >= rep.best_lower
     one_d = bounds_report(7, 1, 3)
     assert one_d.upper["exact"] == 3 and one_d.lower["exact"].size == 3
+
+
+# sha256 of json.dumps([to_dict() for k in 3..p], sort_keys=True)
+REPORT_PINS = {
+    (5, 1): "0c77bc9db66a3defa41a059e70a1ce7ba915332b7cf0b70706faf0eee4062fad",
+    (5, 2): "cf539b71175627921f9a3e2ecd2dfd9e26a79a9a7055b99ebbbee4836e45b479",
+    (5, 3): "0522964145d5396b776760d64e7b7a9522567df70a7d3d630de155af7e451700",
+    (5, 4): "cfb124f4030307d79a24907a0512c6aa60a7bafed9021f1a5f7222129d32ea6e",
+    (7, 1): "22d36028345b3c5ab204036888d18bfc055c9f47e2d33dc8835c6af20273db53",
+    (7, 2): "a9f00c219e88d1a17e8d5f35c760d698c3cbe48f8bf198837576a0e27685717c",
+    (7, 3): "6f2ce4b514184fa3a8a313bd62cfdb11a30640416c9b6d4d3cac32230316e2d1",
+    (7, 4): "fb790ef9de3a1a50a064d53865629426704de43bb1c1a72cc0aa62a90c45867f",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(REPORT_PINS))
+def test_bounds_reports_are_pinned_for_every_k(p, n):
+    docs = [bounds_report(p, n, k).to_dict() for k in range(3, p + 1)]
+    got = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert got == REPORT_PINS[(p, n)]
 
 
 def test_bounds_report_validation():

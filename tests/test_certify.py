@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -14,6 +16,7 @@ from linefree.certify import (
     INFEASIBLE,
     UNKNOWN,
     ExclusionInstance,
+    NullSpaceError,
     _count_enumeration,
     _enumerate_candidates,
     class_distributions,
@@ -71,21 +74,38 @@ def test_pair_equation_matches_hand_count():
     assert inst.pair_rhs == 74 * 73 // 2 * 6
 
 
-def test_class_distribution_enumeration_is_exact():
-    inst = make_instance(5, 74)
-    dists = class_distributions(inst)
-    # brute force: all nondecreasing 5-tuples of allowed sizes summing to 74
-    import itertools
+CLASS_TARGETS = [(5, 60), (5, 70), (5, 73), (5, 74), (5, 76), (5, 80),
+                 (7, 236), (7, 240), (7, 242), (7, 243), (7, 245)]
 
-    brute = [
-        t
-        for t in itertools.combinations_with_replacement(inst.allowed_sizes, 5)
-        if sum(t) == 74
-    ]
-    assert sorted(dists) == sorted(brute)
-    assert pair_coefficients(dists) == tuple(
-        sum(m * (m - 1) // 2 for m in d) for d in dists
-    )
+
+def test_class_distribution_enumeration_is_exact():
+    for p, target in CLASS_TARGETS:
+        inst = make_instance(p, target)
+        dists = class_distributions(inst)
+        # brute force: nondecreasing p-tuples of allowed sizes summing to
+        # the target, in ascending lexicographic order
+        brute = tuple(
+            t
+            for t in itertools.combinations_with_replacement(inst.allowed_sizes, p)
+            if sum(t) == target
+        )
+        assert dists == brute, (p, target)
+        assert pair_coefficients(dists) == tuple(
+            sum(m * (m - 1) // 2 for m in d) for d in dists
+        )
+
+
+def test_rich_pencil_enumeration_is_exact():
+    for p, target in CLASS_TARGETS:
+        inst = make_instance(p, target)
+        # rich_sizes is descending, so these are nonincreasing (p+1)-tuples
+        # in descending lexicographic order
+        brute = tuple(
+            t
+            for t in itertools.combinations_with_replacement(inst.rich_sizes, p + 1)
+            if sum(t) == inst.rich_pencil_sum
+        )
+        assert rich_pencil_multisets(inst) == brute, (p, target)
 
 
 # --- the 243-point target in dimension three over F_7 ------------------------
@@ -185,6 +205,84 @@ def test_null_weights_annihilate_pencil_multisets():
             for m in rich_pencil_multisets(inst)
         }
         assert len(vals) == 1
+
+
+def test_null_space_of_the_wrong_dimension_is_unknown(monkeypatch):
+    # No default-table target reaches this path, so keep only the first
+    # rich pencil of 74: three rich sizes and one equation leave a
+    # two-dimensional null space.
+    from linefree import certify
+
+    inst = make_instance(5, 74)
+    pencil = rich_pencil_multisets(inst)[0]
+    assert pencil == (16, 16, 16, 16, 16, 14)
+    monkeypatch.setattr(certify, "rich_pencil_multisets", lambda inst: (pencil,))
+    with pytest.raises(NullSpaceError) as err:
+        null_weights(inst)
+    assert err.value.dimension == 2 and len(err.value.basis) == 2
+    for vec in err.value.basis:
+        assert sum(w * pencil.count(s) for w, s in zip(vec, inst.rich_sizes)) == 0
+    cert = prove_infeasible(inst)
+    assert cert.verdict == UNKNOWN
+    assert cert.reason == "rich-pencil null space has dimension 2, need 1"
+    assert cert.weights is None and cert.candidates.shape == (0, 5)
+    assert cert.replay()
+    assert _sha(cert) == "3799041ee10ffb9e20997b53789c0cd8373964cae407e5552a2dceba0afbcf6a"
+
+
+# --- every certificate of a target sweep, byte for byte ------------------------
+
+
+def _sha(cert) -> str:
+    return hashlib.sha256((cert.to_json() + cert.render_text()).encode()).hexdigest()
+
+
+SWEEP_TARGETS = {5: range(60, 82), 7: range(236, 252)}
+# sha256 of to_json() + render_text(), first 16 hex digits, per target
+SWEEP_PINS = {
+    (5, False): """f3ef3ed2ac0b0d42 4dcd8bdadb7758cd c00bad8f48478003 a7791bf5b8cdb235
+        293d34d78a4c97d3 5af2156182832005 dd9a1681e439d62d 6be09f291ae64b26
+        936f84b100757ac7 df2dbdc7d7d7a9f7 09f8bc123d42af70 700bc05c0320f989
+        f7951f9c755f0156 05e3d8549ba8f8e5 67884b468d464285 4bdf2837fcf92b00
+        b3b0bb4d43c7e4cb 440c0df3ca2908e8 ad897f84e7f7c1a1 a499dbb8aeb98bd0
+        7b205a1d4a1725c5 5e00137142f00b04""",
+    (5, True): """a63fbb4f16c719f6 b9b28d1b816673ae 556ad4fda6fbb292 92258eaefefc6290
+        d22b800305488ce4 8470cb1a464892f3 699b83095c02c11e bd513d589c726220
+        cd0a2be248f050ac 27ca14538f301cc6 84d8f73afdae5cff 1e6af584973d76df
+        045fa7fcb8da62c2 e088e265d3717d20 a68cfb0c83a76f3e 33f3a0b907c55486
+        3b75d6af77d8a10a d855cfc96afaf55a 30f074d4be09ae33 2febaebeddf958c1
+        65957a3fcc8c05b8 a5f4f58fcb3eb626""",
+    (7, False): """fe2dc06e639a7cb1 09c46c6c60ce5fb1 97d8503a79c98f11 962c7ae5dcda8d70
+        f1bdbe6ed772766a 31fa3f2433a6947f a5ceedbdb0cdf573 a9acb0c7b2e7d6b2
+        979282f16e4eb3c1 f020fc8c53510f56 60c61ee6b5caa6a6 f2ebd939a13a0b9b
+        d7d43d4694b507d6 07dc83d7d4431844 25b80de5a9563ea5 ffcab439c1fd6ca8""",
+    (7, True): """ca7093a73d649e12 440c76aa36172948 0ea140e2a7fdcf82 997cb929b96ef93a
+        adc04714b32e91fb d8415983e69602f6 edb61eee945b7e22 331be8c6b77dd1e9
+        42ba4d2b5f993c26 f134dd2b73f89f61 b0012777079e77bf 0bdaa80e04ace86f
+        db7284240e758ae6 46431cd887452613 1c1dcccccefdd29e 68872fa43f8ea9b3""",
+}
+SWEEP_REASONS = {
+    "pigeonhole",
+    "no multiset of allowed plane sizes attains the target",
+    "no assignment of distributions to classes meets the pair count",
+    "every candidate assignment is refuted by the rich-line inequality",
+    "a candidate assignment survives all refutations",
+    "enumeration budget exhausted (max_candidates=500000, max_nodes=1000000)",
+}
+
+
+def test_certificate_sweep_is_pinned():
+    reasons = set()
+    for (p, faithful), pins in SWEEP_PINS.items():
+        got = []
+        for target in SWEEP_TARGETS[p]:
+            cert = prove_infeasible(
+                make_instance(p, target), paper_faithful=faithful, max_nodes=1_000_000
+            )
+            reasons.add(cert.reason.split(":")[0])
+            got.append(_sha(cert)[:16])
+        assert got == pins.split(), (p, faithful)
+    assert reasons == SWEEP_REASONS
 
 
 # --- the candidate enumeration against the v1 depth-first search --------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -230,6 +231,15 @@ def test_render_text_and_tikz(tmp_path):
     tikz = run("render", str(grid), "--tikz")
     assert "\\begin{tikzpicture}" in tikz.stdout
     assert "\\documentclass" in tikz.stdout
+
+
+def test_tikz_output_is_pinned(tmp_path):
+    grid = tmp_path / "fig70.grid"
+    run("construct", "--family", "fig70", "-p", "5", "-o", str(grid))
+    tikz = run("render", str(grid), "--tikz").stdout
+    assert hashlib.sha256(tikz.encode()).hexdigest() == (
+        "83263b3508007bae4e040914a80a56ac93352e2dfdf5ece3f3320269da3afd7d"
+    )
 
 
 def test_search_over_table_budget_exits_two():

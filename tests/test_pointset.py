@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_set
+from linefree import constructions as cons
 from linefree.geometry import SpaceSpec
 from linefree.pointset import (
     GridFormatError,
@@ -112,6 +115,32 @@ def test_parse_errors_carry_line_numbers():
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(GridFormatError):
         parse_grid(truncated)
+
+
+GRID_PINS = {
+    "qr31": "b3cf264ad2c306606961055f57453d8ec2da71ff793adbc1d1e724728df8a3a4",
+    "layered74": "f9c69abbb77aa89c8581259c3e119704aba7d09a5ca1b25ad624bc2860e230f5",
+    "fig70": "d016eac3e6f315078dcd167b6c7238c4577ab52249b05dba4bf0efb91b32b8f2",
+    "random35": "fc7b0ffb5ad303297bd9b441ea9da2c7742eaf53028906195e0d194047fb0538",
+}
+
+
+def _pinned_set(name: str) -> PointSet:
+    if name == "qr31":
+        return cons.qr_construction(31)
+    if name == "layered74":
+        return cons.layered(7, 4)
+    if name == "fig70":
+        return cons.load_reference_set("fig70")
+    return PointSet(SpaceSpec(3, 5), np.random.default_rng(5).random(3**5) < 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PINS))
+def test_grid_text_is_pinned(name):
+    s = _pinned_set(name)
+    text = render_grid(s)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_PINS[name]
+    assert parse_grid(text) == s
 
 
 def test_product_matches_coordinate_concatenation(rng):
