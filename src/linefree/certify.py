@@ -703,6 +703,16 @@ def prove_infeasible(
     )
 
 
+def _product_dtype(num_classes: int, *vectors) -> type:
+    """The narrowest of int32 and int64 that holds every row . v exactly.
+
+    For a row that is nonnegative and sums to num_classes, |row . v| <=
+    num_classes * max|v|, so int32 is exact while that is below 2**31.
+    """
+    top = max((abs(int(c)) for v in vectors for c in v), default=0)
+    return np.int32 if num_classes * top < 2**31 else np.int64
+
+
 def _decide(
     inst: ExclusionInstance,
     dists: tuple[tuple[int, ...], ...],
@@ -740,13 +750,18 @@ def _decide(
         )
         return UNKNOWN, reason, weights, no_rows, no_margins, None
 
-    cand64 = candidates.astype(np.int64)
-    if not (cand64 @ np.asarray(coeffs, dtype=np.int64) == inst.pair_rhs).all():
-        raise AssertionError("enumeration produced a vector violating the pair count")
-    if not (cand64.sum(axis=1) == inst.num_classes).all():
+    # the class count comes first: the products' dtype relies on it
+    if candidates.size and candidates.min() < 0:
+        raise AssertionError("enumeration produced a negative class count")
+    if not (candidates.sum(axis=1) == inst.num_classes).all():
         raise AssertionError("enumeration produced a vector violating the class count")
+    margin_coeffs = _margin_coefficients(inst, dists, weights, los, caps)
+    dtype = _product_dtype(inst.num_classes, coeffs, margin_coeffs)
+    rows = candidates.astype(dtype, copy=False)
+    if not (rows @ np.asarray(coeffs, dtype=dtype) == inst.pair_rhs).all():
+        raise AssertionError("enumeration produced a vector violating the pair count")
 
-    margins = cand64 @ _margin_coefficients(inst, dists, weights, los, caps)
+    margins = (rows @ margin_coeffs.astype(dtype)).astype(np.int64)
     not_refuted = np.flatnonzero(margins <= 0)
     if candidates.shape[0] == 0:
         reason = "no assignment of distributions to classes meets the pair count"

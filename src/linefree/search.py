@@ -282,6 +282,15 @@ class _Engine:
     on the lines other than the x-axis through an excluded x-axis point.
     The caps move only when an axis point is decided, and the axis points
     are decided first, so below them _set_out checks constant caps.
+
+    A line is open while it is short of excluded points, out < need.
+    line_key[l] is max(undec, 2) for an open line and 0 for any other,
+    one byte per line (for n >= 2, TABLE_BUDGET admits only p <= 161;
+    for n = 1 need is 0 and every byte stays 0).  The per-line loops of
+    _set_in, _set_out and _undo_to keep it current, so _pick finds the
+    most constrained open line with at most p - 1 bytearray.find calls.
+    For k = p each line is its only window, so line_in doubles as the
+    window counts and one loop per point updates both.
     """
 
     UNDEC, IN, OUT = 0, 1, 2
@@ -290,8 +299,9 @@ class _Engine:
         self.ws = ws
         self.k = ws.k
         self.status = bytearray(ws.num_points)
-        self.win_in = [0] * len(ws.windows)
+        self.fused = ws.k == ws.p  # windows are lines, numbered alike
         self.line_in = [0] * ws.num_lines
+        self.win_in = self.line_in if self.fused else [0] * len(ws.windows)
         self.line_undec = [ws.p] * ws.num_lines
         self.line_out = [0] * ws.num_lines
         # a line needs at least p - cap excluded points; an excluded point
@@ -299,6 +309,8 @@ class _Engine:
         # need of any single class lower-bounds future exclusions
         self.need = ws.p - ws.line_cap
         self.class_need = [self.need * ws.lines_per_class] * ws.num_classes
+        self.clamp = [max(u, 2) for u in range(ws.p + 1)]  # undec -> key
+        self.line_key = bytearray([self.clamp[ws.p] if self.need else 0]) * ws.num_lines
         self.undec_total = ws.num_points
         self.cur_in = 0
         self.chosen: list[int] = []
@@ -324,20 +336,38 @@ class _Engine:
         self.cur_in += 1
         self.chosen.append(q)
         self.trail.append((1, q))
-        line_in, line_undec = self.line_in, self.line_undec
-        for l in ws.point_lines[q]:
-            line_in[l] += 1
-            line_undec[l] -= 1
-        filled: list[int] = []
+        line_in, line_undec, key, clamp = self.line_in, self.line_undec, self.line_key, self.clamp
         k = self.k
-        for w in ws.point_windows[q]:
-            c = win_in[w] + 1
-            win_in[w] = c
-            if c == k:
-                return False
-            if c == k - 1:
-                filled.append(w)
-        if self.axis[q] and not self._reframe():
+        filled: list[int] = []
+        full = False  # some window already held k - 1 chosen points
+        if self.fused:
+            for l in ws.point_lines[q]:
+                c = line_in[l] + 1
+                line_in[l] = c
+                u = line_undec[l] - 1
+                line_undec[l] = u
+                if key[l]:
+                    key[l] = clamp[u]
+                if c >= k - 1:
+                    if c == k:
+                        full = True
+                    else:
+                        filled.append(l)
+        else:
+            for l in ws.point_lines[q]:
+                line_in[l] += 1
+                u = line_undec[l] - 1
+                line_undec[l] = u
+                if key[l]:
+                    key[l] = clamp[u]
+            for w in ws.point_windows[q]:
+                c = win_in[w] + 1
+                win_in[w] = c
+                if c == k:
+                    full = True
+                elif c == k - 1:
+                    filled.append(w)
+        if full or (self.axis[q] and not self._reframe()):
             return False
         for w in filled:
             for m in ws.windows[w]:
@@ -350,18 +380,20 @@ class _Engine:
         self.status[q] = self.OUT
         self.undec_total -= 1
         self.trail.append((2, q))
-        lpc = self.ws.lines_per_class
-        need, cap = self.need, self.out_cap
+        need, cap, key, clamp = self.need, self.out_cap, self.line_key, self.clamp
         line_out, line_undec, class_need = self.line_out, self.line_undec, self.class_need
         ok = True
-        for l in self.ws.point_lines[q]:
-            line_undec[l] -= 1
+        # a point's j-th line lies in parallel class j
+        for j, l in enumerate(self.ws.point_lines[q]):
+            u = line_undec[l] - 1
+            line_undec[l] = u
             out = line_out[l] + 1
             line_out[l] = out
             # a line's chosen points are free, so in <= line_cap and every
             # cap p - in is at least need: only out > need can exceed one
             if out <= need:
-                class_need[l // lpc] -= 1
+                class_need[j] -= 1
+                key[l] = clamp[u] if out < need else 0
             elif out > cap[l]:
                 ok = False
         if not ok:
@@ -388,21 +420,23 @@ class _Engine:
         return True
 
     def _undo_to(self, mark: int) -> None:
-        ws = self.ws
-        lpc, need = ws.lines_per_class, self.need
+        ws, need, fused = self.ws, self.need, self.fused
         trail, status, win_in = self.trail, self.status, self.win_in
         line_in, line_out, line_undec = self.line_in, self.line_out, self.line_undec
+        key, clamp, class_need = self.line_key, self.clamp, self.class_need
         while len(trail) > mark:
             op, q = trail.pop()
             if op == 2:
                 status[q] = self.UNDEC
                 self.undec_total += 1
-                for l in ws.point_lines[q]:
-                    line_undec[l] += 1
+                for j, l in enumerate(ws.point_lines[q]):
+                    u = line_undec[l] + 1
+                    line_undec[l] = u
                     out = line_out[l]
                     line_out[l] = out - 1
-                    if out <= need:
-                        self.class_need[l // lpc] += 1
+                    if out <= need:  # open again
+                        class_need[j] += 1
+                        key[l] = clamp[u]
             elif op == 1:
                 status[q] = self.UNDEC
                 self.undec_total += 1
@@ -410,15 +444,19 @@ class _Engine:
                 self.chosen.pop()
                 for l in ws.point_lines[q]:
                     line_in[l] -= 1
-                    line_undec[l] += 1
-                for w in ws.point_windows[q]:
-                    win_in[w] -= 1
+                    u = line_undec[l] + 1
+                    line_undec[l] = u
+                    if key[l]:
+                        key[l] = clamp[u]
+                if not fused:
+                    for w in ws.point_windows[q]:
+                        win_in[w] -= 1
             else:
                 self.out_cap = q
 
     # -- bounding and selection -------------------------------------------
-    def _upper_extra(self) -> int:
-        """Room left under the line-capacity bound.
+    def _upper_extra(self, most_need: int) -> int:
+        """Room left under the line-capacity bound, given max(class_need).
 
         Future exclusions among the undecided points number at least the
         outstanding need of any one parallel class (an exclusion serves
@@ -430,7 +468,7 @@ class _Engine:
         """
         extra = self.undec_total
         if self.ws.n > 1:
-            blocking = self.undec_total - max(self.class_need)
+            blocking = self.undec_total - most_need
             if blocking < extra:
                 extra = blocking
         return extra
@@ -441,6 +479,16 @@ class _Engine:
         Undecided axis points come first, x-axis then y-axis, in index
         order; framing=False skips that scan where every axis point is
         known to be decided.
+
+        Then the most constrained open line: the lowest-numbered open
+        line with the smallest max(undec, 2), that is the first byte 2 of
+        line_key, else the first 3, and so on up to p.  The clamp at 2
+        ranks every short line alike, since propagation keeps open lines
+        at 2 or more undecided points.  Its first undecided point in
+        index order is next; in-first branching then walks the choices
+        of which of its points gets excluded.  Failing that (n = 1, or no
+        open line has an undecided point), the undecided point whose
+        lines hold the most chosen points, the lowest on ties.
         """
         st = self.status
         if framing:
@@ -448,22 +496,14 @@ class _Engine:
                 if st[q] == self.UNDEC:
                     return q
         if self.ws.n > 1:
-            # most-constrained unsatisfied line: fewest undecided points
-            # among lines still short of excluded points; work through
-            # its points in index order (in-first branching walks the
-            # choices of which of them gets excluded)
-            best_l, best_u = -1, self.ws.p + 1
-            need = self.need
-            line_out, line_undec = self.line_out, self.line_undec
-            for l in range(self.ws.num_lines):
-                if line_out[l] < need and line_undec[l] < best_u:
-                    best_l, best_u = l, line_undec[l]
-                    if best_u <= 2:  # propagation keeps short lines >= 2
-                        break
-            if best_l >= 0:
-                for q in self.ws.line_points[best_l]:
-                    if st[q] == self.UNDEC:
-                        return q
+            key = self.line_key
+            for v in range(2, self.ws.p + 1):
+                l = key.find(v)
+                if l >= 0:
+                    for q in self.ws.line_points[l]:
+                        if st[q] == self.UNDEC:
+                            return q
+                    break
         best_q, best_score = -1, -1
         line_in = self.line_in
         for q in range(self.ws.num_points):
@@ -477,11 +517,14 @@ class _Engine:
         return best_q
 
     # -- search -------------------------------------------------------------
-    def _leaf(self) -> tuple[int, ...] | None:
-        """The set this node completes to if it is a leaf, else None."""
+    def _leaf(self, most_need: int) -> tuple[int, ...] | None:
+        """The set this node completes to if it is a leaf, else None.
+
+        most_need is max(class_need).
+        """
         if self.undec_total == 0:
             return tuple(sorted(self.chosen))
-        if self.k >= self.ws.p - 1 and self.ws.n > 1 and max(self.class_need) == 0:
+        if self.k >= self.ws.p - 1 and self.ws.n > 1 and most_need == 0:
             # for k in {p-1, p} the only constraint is the per-line cap
             # (every (p-1)-subset of a line is a progression), and every
             # line already has its full quota of exclusions, so taking
@@ -499,12 +542,13 @@ class _Engine:
                 raise _BudgetExhausted
         self.grant -= 1
         self.nodes += 1
-        leaf = self._leaf()
+        most_need = max(self.class_need)
+        leaf = self._leaf(most_need)
         if leaf is not None:
             if len(leaf) > self.best_size:  # a tie never replaces
                 self.best_size, self.best_set = len(leaf), leaf
             return
-        if self.cur_in + self._upper_extra() <= self.best_size:
+        if self.cur_in + self._upper_extra(most_need) <= self.best_size:
             self.bound_prunes += 1
             return
         q = self._pick(framing)
@@ -607,7 +651,7 @@ def _cut(eng: _Engine, prefix: tuple, depth: int, out: list) -> bool:
 
     Returns whether some branch was cut short of a leaf.
     """
-    if eng._leaf() is not None:
+    if eng._leaf(max(eng.class_need)) is not None:
         out.append(prefix)
         return False
     if depth == 0:

@@ -19,6 +19,7 @@ from linefree.certify import (
     NullSpaceError,
     _count_enumeration,
     _enumerate_candidates,
+    _product_dtype,
     class_distributions,
     make_instance,
     null_weights,
@@ -446,3 +447,25 @@ def test_242_enumeration_is_beyond_any_budget():
 def test_oversized_enumeration_raises():
     with pytest.raises(ResourceBudgetError):
         _enumerate_candidates((0, 1), 10, 10**9, 10)
+
+
+def test_row_products_are_exact_in_int32_up_to_the_bound():
+    # rows are nonnegative and sum to num_classes, so |row . v| is at most
+    # num_classes * max|v|; int32 holds that while it is below 2**31
+    classes = 31
+    top = (2**31 - 1) // classes
+    rows = np.random.default_rng(7).multinomial(classes, [0.1] * 10, size=5000).astype(np.int32)
+    rows[:10] = 0
+    rows[:10, 0] = classes  # rows at the extreme
+    v = np.random.default_rng(8).integers(-top, top + 1, size=10)
+    v[0], v[1] = top, -top
+    assert _product_dtype(classes, (3, -2), v) is np.int32
+    got = rows @ v.astype(np.int32)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, rows.astype(np.int64) @ v)
+    # one step above the bound int32 wraps, and the helper moves to int64
+    v[0] = top + 1
+    assert _product_dtype(classes, (3, -2), v) is np.int64
+    assert _product_dtype(classes, [-(top + 1)]) is np.int64
+    assert not np.array_equal(rows @ v.astype(np.int32), rows.astype(np.int64) @ v)
+    assert _product_dtype(0, v) is np.int32 and _product_dtype(classes) is np.int32

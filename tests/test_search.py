@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import OrderedDict
@@ -253,6 +255,88 @@ def test_frame_node_and_prune_counts_are_pinned(p, n, k, counts):
     r = max_free_exact(p, n, k, fix_translation=True)
     assert r.optimal
     assert (r.nodes, r.bound_prunes, r.frame_prunes) == counts
+
+
+@pytest.mark.parametrize(
+    "p, n, k, pin",
+    [
+        (5, 3, 5, (50_000, 24_899, "998c155410b2b3f9c16438c17a1817a1f02ff4133d93ad5c9991d9d15fe313e7")),
+        (7, 3, 7, (10_000, 4_905, "cc1907c603ea91c45481aa9bca2abc6e5697a1adccf28b2c20131a09ce7835ed")),
+    ],
+)
+def test_budgeted_3d_searches_are_pinned(p, n, k, pin):
+    # (nodes, bound prunes, sha256 of the returned bits) of the benchmark's
+    # budgeted F_5^3 and F_7^3 runs
+    r = heuristic_lower(p, n, k, node_budget=pin[0])
+    assert (r.nodes, r.bound_prunes, hashlib.sha256(r.best.bits.tobytes()).hexdigest()) == pin
+
+
+# --- the line picked next -------------------------------------------------------
+
+
+def reference_pick(eng, framing=True):
+    """The engine's next point by a scan over every line."""
+    st = eng.status
+    if framing:
+        for q in eng.axis_order:
+            if st[q] == eng.UNDEC:
+                return q
+    if eng.ws.n > 1:
+        best_l, best_u = -1, eng.ws.p + 1
+        for l in range(eng.ws.num_lines):
+            if eng.line_out[l] < eng.need and eng.line_undec[l] < best_u:
+                best_l, best_u = l, eng.line_undec[l]
+                if best_u <= 2:
+                    break
+        if best_l >= 0:
+            for q in eng.ws.line_points[best_l]:
+                if st[q] == eng.UNDEC:
+                    return q
+    best_q, best_score = -1, -1
+    for q in range(eng.ws.num_points):
+        if st[q] == eng.UNDEC:
+            score = sum(eng.line_in[l] for l in eng.ws.point_lines[q])
+            if score > best_score:
+                best_q, best_score = q, score
+    return best_q
+
+
+def check_line_state(eng):
+    """The engine's line key and class needs against a rebuild from the counts."""
+    need, lpc = eng.need, eng.ws.lines_per_class
+    keys = [0 if o >= need else max(u, 2) for o, u in zip(eng.line_out, eng.line_undec)]
+    assert eng.line_key == bytearray(keys)
+    short = [max(need - o, 0) for o in eng.line_out]
+    assert eng.class_need == [sum(short[c * lpc : (c + 1) * lpc]) for c in range(eng.ws.num_classes)]
+    assert eng._pick() == reference_pick(eng)
+
+
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("p, n, k", [(5, 3, 5), (7, 3, 7), (5, 2, 4), (7, 2, 3), (3, 3, 3)])
+def test_pick_matches_a_scan_over_every_line(p, n, k, framed):
+    # random decision paths with random backtracking: at every node the
+    # byte table equals a rebuild and the pick equals the full scan
+    ws = search._window_system(p, n, k)
+    rng = random.Random(p * 100 + n * 10 + k + framed)
+    for _ in range(4):
+        eng = search._Engine(ws, -1, framed=framed)
+        assert eng.run_prefix(search._frame_prefix(SearchConfig(fix_translation=framed), p, n))
+        marks: list[int] = []
+        for _ in range(120):
+            check_line_state(eng)
+            if eng.undec_total == 0 or (marks and rng.random() < 0.2):
+                if not marks:
+                    break
+                i = rng.randrange(len(marks))
+                eng._undo_to(marks[i])
+                del marks[i:]
+                continue
+            q = eng._pick()
+            marks.append(len(eng.trail))
+            if not (eng._set_in(q) if rng.random() < 0.6 else eng._set_out(q)):
+                eng._undo_to(marks.pop())
+        eng._undo_to(0)
+        check_line_state(eng)
 
 
 def test_prune_counts_sum_over_workers():
