@@ -12,12 +12,7 @@ from dataclasses import dataclass, field
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .geometry import is_prime
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime, got {p}")
+from .geometry import require_odd_prime
 
 
 def _milli_str(milli: int) -> str:
@@ -73,7 +68,7 @@ def upper_simple(p: int, n: int) -> SimpleBounds:
     set has (p^n - 1)/(p - 1) points.  sziklai: a stronger blocking-set
     bound, p^n - 2p^(n-1) + 1.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     pn = p**n
@@ -112,7 +107,7 @@ class RecursiveBound:
 
 def upper_recursive(p: int, n: int, k: int, r: int) -> RecursiveBound:
     """Bound r_k(F_p^(n+1)) given r_k(F_p^n) <= r."""
-    _require_prime(p)
+    require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 3 <= k <= p:
@@ -172,7 +167,7 @@ class CubicBound:
 
 
 def upper_cubic(p: int) -> CubicBound:
-    _require_prime(p)
+    require_odd_prime(p)
     exact = upper_recursive(p, 2, p, (p - 1) ** 2)
     displayed = cubic_displayed_radicand(p)
     if exact.expr.radicand != displayed:
@@ -227,7 +222,7 @@ def lower_closed_forms(p: int, n: int) -> dict[str, LowerEntry]:
     Sets are materialized and measured when p^n is small enough;
     otherwise the closed-form size is reported with backed=False.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     out: dict[str, LowerEntry] = {}
@@ -372,7 +367,7 @@ def alpha_fgr(p: int) -> Rate:
 
     Valid only as a bound for dimensions >= 2p.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     n = 2 * p
     value = p * (p - 1) ** (2 * p - 1)
     return Rate(
@@ -507,7 +502,7 @@ def bounds_report(
     chain starts from the exact plane value (p-1)^2 for k = p and from the
     exact one-dimensional value for k < p.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if k is None:

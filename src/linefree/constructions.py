@@ -22,18 +22,13 @@ from importlib import resources
 
 import numpy as np
 
-from .geometry import SpaceSpec, is_prime, space_tables
+from .geometry import SpaceSpec, require_odd_prime, space_tables
 from .pointset import PointSet, parse_grid_document
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def box(p: int, n: int, side: int) -> PointSet:
     """Axis-aligned box [0, side-1]^n."""
-    _require_prime(p)
+    require_odd_prime(p)
     if not 0 <= side <= p:
         raise ValueError(f"side must be in [0, p], got {side}")
     space = SpaceSpec(p, n)
@@ -66,7 +61,7 @@ def layered(p: int, n: int) -> PointSet:
 
     All other positions are empty.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if n < 3:
         raise ValueError("layered sets need n >= 3; use hypercube for n <= 2")
     space = SpaceSpec(p, n)
@@ -113,7 +108,7 @@ def sqrt_construction(p: int) -> PointSet:
     p-2 holds the full plane minus the diagonal and minus the rectangle
     (K u {p-1}) x (T u {p-1}), and layer p-1 holds K x T.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if p < 5:
         raise ValueError("the interval construction degenerates for p = 3; need p >= 5")
     space = SpaceSpec(p, 3)
@@ -145,8 +140,7 @@ def sqrt_construction(p: int) -> PointSet:
 
 def quadratic_residues(p: int) -> set[int]:
     """Nonzero squares mod p: (p-1)/2 elements, closed under product."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     return {pow(a, 2, p) for a in range(1, p)}
 
 
@@ -162,7 +156,7 @@ def qr_construction(p: int) -> PointSet:
     (x, y, z) of the formula is the point (z, x, y) of the set, so layers
     are indexed by the first coordinate.
     """
-    _require_prime(p)
+    require_odd_prime(p)
     if p % 24 != 7:
         raise ValueError(f"p must be congruent to 7 mod 24, got {p} (p mod 24 = {p % 24})")
     space = SpaceSpec(p, 3)

@@ -40,6 +40,11 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    if not is_prime(p) or p < 3:
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """The ambient space F_p^n."""
@@ -48,8 +53,7 @@ class SpaceSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.p**self.n > MAX_POINTS:

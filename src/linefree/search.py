@@ -26,7 +26,7 @@ from .geometry import ResourceBudgetError, SpaceSpec, space_tables
 from .pointset import PointSet
 from .verifier import find_progression
 
-TABLE_BUDGET = 2**23  # entries of a space's line and window tables
+TABLE_BUDGET = 2**23  # entries of a space's line tables, and window tables for k < p - 1
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,6 @@ def _window_rowsets(p: int, k: int) -> tuple[tuple[int, ...], ...]:
     Steps are taken up to sign (a progression and its reversal cover the
     same points) and duplicate position sets are merged.
     """
-    if k == p:
-        return (tuple(range(p)),)
     seen = {
         tuple(sorted((j + i * lam) % p for i in range(k)))
         for lam in range(1, (p - 1) // 2 + 1)
@@ -131,27 +129,31 @@ class _WindowSystem:
     """Per-space constraint tables shared by engine instances.
 
     Lines are numbered by direction, then by closed-form key; line l's
-    windows are numbered l*R .. l*R + R - 1 for R window position sets.
-    The tables are tuples of Python ints, which the engine iterates.
+    windows are numbered l*R .. l*R + R - 1 for R window position sets,
+    or are line l itself when fused (k >= p - 1, see _Engine).  The
+    tables are tuples of Python ints, which the engine iterates.
     """
 
     def __init__(self, p: int, n: int, k: int):
         space = SpaceSpec(p, n)
         self.entries = _table_entries(p, n, k)
-        rowsets = _window_rowsets(p, k)
         self.p, self.n, self.k = p, n, k
+        self.fused = _line_capped(p, k)
         t = space_tables(p, n)
         num = space.num_points
         self.num_points = num
         # row l: the points of line l in position order
         cols = np.concatenate([t.line_matrix(di).T for di in range(space.num_directions)])
-        windows = cols[:, rowsets].reshape(-1, k)
         self.num_lines = len(cols)
         pts = _shared_ints(num)
-        self.windows = tuple(map(tuple, pts[windows].tolist()))
         self.line_points = tuple(map(tuple, pts[np.sort(cols, axis=1)].tolist()))
         self.point_lines = _owners(cols, num)
-        self.point_windows = _owners(windows, num)
+        if self.fused:
+            self.windows, self.point_windows = self.line_points, self.point_lines
+        else:
+            windows = cols[:, _window_rowsets(p, k)].reshape(-1, k)
+            self.windows = tuple(map(tuple, pts[windows].tolist()))
+            self.point_windows = _owners(windows, num)
         # lines with a common direction partition the space; ids are
         # contiguous per direction, p^{n-1} lines each
         self.num_classes = space.num_directions
@@ -174,11 +176,16 @@ class _WindowSystem:
                 self.axis[q] = 1 if q in self.x_points else 2
 
 
+def _line_capped(p: int, k: int) -> bool:
+    return k >= p - 1  # k-freeness caps each line at k - 1 points (see _Engine)
+
+
 def _table_entries(p: int, n: int, k: int) -> int:
     """Entries of the line and window tables of (p, n, k), within TABLE_BUDGET."""
     if not 3 <= k <= p:
         raise ValueError(f"k must be in [3, p], got {k}")
-    entries = SpaceSpec(p, n).num_lines * (p + len(_window_rowsets(p, k)) * k)
+    window_entries = 0 if _line_capped(p, k) else len(_window_rowsets(p, k)) * k
+    entries = SpaceSpec(p, n).num_lines * (p + window_entries)
     if entries > TABLE_BUDGET:
         raise ResourceBudgetError(
             f"search tables for p={p}, n={n}, k={k} need {entries} entries, "
@@ -285,12 +292,15 @@ class _Engine:
 
     A line is open while it is short of excluded points, out < need.
     line_key[l] is max(undec, 2) for an open line and 0 for any other,
-    one byte per line (for n >= 2, TABLE_BUDGET admits only p <= 161;
+    one byte per line (for n >= 2, TABLE_BUDGET admits only p <= 199;
     for n = 1 need is 0 and every byte stays 0).  The per-line loops of
     _set_in, _set_out and _undo_to keep it current, so _pick finds the
     most constrained open line with at most p - 1 bytearray.find calls.
-    For k = p each line is its only window, so line_in doubles as the
-    window counts and one loop per point updates both.
+    ws.fused: k >= p - 1.  Every (p-1)-subset of Z_p is a (p-1)-term
+    progression (the one missing m is m+1, ..., m+p-1), so a line's
+    k-windows are its k-subsets: a line with k - 1 chosen points excludes
+    its other points, line_in doubles as the window counts, and one loop
+    per point updates both.
     """
 
     UNDEC, IN, OUT = 0, 1, 2
@@ -299,9 +309,8 @@ class _Engine:
         self.ws = ws
         self.k = ws.k
         self.status = bytearray(ws.num_points)
-        self.fused = ws.k == ws.p  # windows are lines, numbered alike
         self.line_in = [0] * ws.num_lines
-        self.win_in = self.line_in if self.fused else [0] * len(ws.windows)
+        self.win_in = self.line_in if ws.fused else [0] * len(ws.windows)
         self.line_undec = [ws.p] * ws.num_lines
         self.line_out = [0] * ws.num_lines
         # a line needs at least p - cap excluded points; an excluded point
@@ -340,7 +349,7 @@ class _Engine:
         k = self.k
         filled: list[int] = []
         full = False  # some window already held k - 1 chosen points
-        if self.fused:
+        if ws.fused:
             for l in ws.point_lines[q]:
                 c = line_in[l] + 1
                 line_in[l] = c
@@ -420,7 +429,7 @@ class _Engine:
         return True
 
     def _undo_to(self, mark: int) -> None:
-        ws, need, fused = self.ws, self.need, self.fused
+        ws, need, fused = self.ws, self.need, self.ws.fused
         trail, status, win_in = self.trail, self.status, self.win_in
         line_in, line_out, line_undec = self.line_in, self.line_out, self.line_undec
         key, clamp, class_need = self.line_key, self.clamp, self.class_need
@@ -524,11 +533,10 @@ class _Engine:
         """
         if self.undec_total == 0:
             return tuple(sorted(self.chosen))
-        if self.k >= self.ws.p - 1 and self.ws.n > 1 and most_need == 0:
-            # for k in {p-1, p} the only constraint is the per-line cap
-            # (every (p-1)-subset of a line is a progression), and every
-            # line already has its full quota of exclusions, so taking
-            # every undecided point is optimal here
+        if self.ws.fused and self.ws.n > 1 and most_need == 0:
+            # the only constraint is the per-line cap, and every line
+            # already has its full quota of exclusions, so taking every
+            # undecided point is optimal here
             st = self.status
             cand = self.chosen + [q for q in range(self.ws.num_points) if st[q] == self.UNDEC]
             return tuple(sorted(cand))
@@ -782,13 +790,12 @@ def heuristic_lower(
 def one_dim_cap(p: int, k: int) -> int:
     """Exact maximum size of a k-progression-free subset of F_p^1.
 
-    k = p gives p - 1 (miss one point of the only line); k = p - 1 gives
-    p - 2 (every (p-1)-subset of Z_p is a (p-1)-term progression); other
-    k are computed exactly.  Not k - 1 in general: for example {0, 1, 3}
-    avoids 3-term progressions mod 7.
+    k >= p - 1 gives k - 1 (see _Engine); other k are computed exactly.
+    Not k - 1 in general: for example {0, 1, 3} avoids 3-term
+    progressions mod 7.
     """
-    if k == p:
-        return p - 1
+    if _line_capped(p, k):
+        return k - 1
     res = max_free_exact(p, 1, k)
     if not res.optimal:
         raise RuntimeError(f"one-dimensional search did not finish for p={p}, k={k}")

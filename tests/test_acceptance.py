@@ -138,6 +138,7 @@ def test_criterion_3_f7_plane_k6():
     # the longest proof of the suite; two worker processes halve its time
     r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000, threads=2)
     assert r.size == 29 and r.optimal
+    assert (r.nodes, r.bound_prunes, r.frame_prunes) == (33_649_800, 10_166_167, 13_316_978)
     assert find_progression(r.best, 6) is None
     assert r.elapsed < 7200.0
 

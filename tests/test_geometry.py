@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from linefree.bounds import alpha_fgr, upper_simple
+from linefree.constructions import box, quadratic_residues
 from linefree.geometry import (
     SpaceSpec,
     canonical_direction,
@@ -136,3 +138,17 @@ def test_non_prime_space_rejected():
     with pytest.raises(ValueError):
         SpaceSpec(6, 2)
 
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+def test_every_module_rejects_a_non_odd_prime_alike(p):
+    # one check, one message, for the space, the constructions and the bounds
+    calls = [
+        lambda: SpaceSpec(p, 2),
+        lambda: box(p, 2, 1),
+        lambda: quadratic_residues(p),
+        lambda: upper_simple(p, 2),
+        lambda: alpha_fgr(p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+            call()

@@ -16,7 +16,7 @@ import pytest
 
 from linefree import search
 from linefree.constructions import box
-from linefree.geometry import SpaceSpec, space_tables
+from linefree.geometry import ResourceBudgetError, SpaceSpec, space_tables
 from linefree.pointset import PointSet
 from linefree.search import (
     SearchConfig,
@@ -33,7 +33,7 @@ from linefree.verifier import find_progression
 
 
 def test_one_dim_cap_full_line_and_almost_full():
-    for p in (3, 5, 7, 11, 13):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         assert one_dim_cap(p, p) == p - 1
         if p > 3:
             assert one_dim_cap(p, p - 1) == p - 2
@@ -57,6 +57,13 @@ def test_one_dim_cap_agrees_with_subset_scan():
 # --- window tables ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_windows_for_k_at_least_p_minus_1_are_all_k_subsets(p):
+    # the subset that misses m is the progression m+1, ..., m+p-1
+    assert search._window_rowsets(p, p - 1) == tuple(itertools.combinations(range(p), p - 1))
+    assert search._window_rowsets(p, p) == (tuple(range(p)),)
+
+
 def reference_window_tables(p, n, k):
     """(windows, line_points, point_lines, point_windows), one line at a time."""
     t = space_tables(p, n)
@@ -78,13 +85,35 @@ def reference_window_tables(p, n, k):
     return (tuple(windows), tuple(line_points), *owners)
 
 
-@pytest.mark.parametrize("p, n, k", [(5, 2, 4), (7, 2, 6), (3, 3, 3), (5, 3, 5), (5, 3, 3)])
+@pytest.mark.parametrize(
+    "p, n, k", [(5, 2, 4), (7, 2, 6), (3, 3, 3), (5, 3, 5), (5, 3, 3), (7, 2, 4), (7, 2, 5)]
+)
 def test_window_tables_match_per_line_build(p, n, k):
     ws = search._WindowSystem(p, n, k)
+    windows, line_points, point_lines, point_windows = reference_window_tables(p, n, k)
+    assert (ws.line_points, ws.point_lines) == (line_points, point_lines)
+    if k < p - 1:
+        assert (ws.windows, ws.point_windows) == (windows, point_windows)
+        assert ws.entries == p * len(line_points) + k * len(windows)
+    else:  # the lines are the windows: no second table
+        assert ws.windows is ws.line_points and ws.point_windows is ws.point_lines
+        assert ws.entries == ws.num_lines * p
     got = (ws.windows, ws.line_points, ws.point_lines, ws.point_windows)
-    assert got == reference_window_tables(p, n, k)
     assert all(type(q) is int for table in got for row in table for q in row)
     assert ws.num_lines == SpaceSpec(p, n).num_lines
+
+
+def test_table_entries_closed_form():
+    # lines x p, plus windows x k for k < p - 1; computed without building
+    assert search._table_entries(5, 5, 5) == 2_440_625
+    assert search._table_entries(7, 4, 6) == 960_400
+    assert search._table_entries(5, 5, 4) == 2_440_625
+    assert search._table_entries(199, 2, 199) <= search.TABLE_BUDGET
+    # the refusals keep every admitted p below 256, so line_key's one
+    # byte always holds p; the largest plane prime admitted is 199
+    for p, n, k in [(5, 6, 5), (3, 10, 3), (211, 2, 210), (257, 2, 256), (257, 2, 257)]:
+        with pytest.raises(ResourceBudgetError):
+            search._table_entries(p, n, k)
 
 
 # --- the independent subset-scan oracle --------------------------------------
@@ -115,6 +144,7 @@ def test_plane_pins_over_f5(fix):
 
 
 def test_search_agrees_with_oracle_on_small_spaces():
+    # for k >= p - 1 the engine walks lines, not the oracle's windows
     for p, n in [(3, 1), (3, 2), (5, 1), (7, 1), (11, 1)]:
         for k in range(3, p + 1):
             want = brute_force_oracle(p, n, k)
@@ -271,6 +301,26 @@ def test_budgeted_3d_searches_are_pinned(p, n, k, pin):
     assert (r.nodes, r.bound_prunes, hashlib.sha256(r.best.bits.tobytes()).hexdigest()) == pin
 
 
+@pytest.mark.parametrize(
+    "p, n, k, fix, budget, pin",
+    [
+        (5, 2, 4, False, None, (11, 37_297, 17_740, 0, "dde13eef463c09ecb9b81177257423679c280334171c0598b4dc679d83da103d")),
+        (7, 2, 6, True, 300_000, (25, 300_000, 4, 299_977, "f9da7a32cfaaf30dc59072ac8f9c57c3cf3bc5ce44167c5480d4a4f175919af9")),
+        (7, 2, 6, False, 200_000, (29, 200_000, 99_932, 0, "b2ee04afcd3d5c34af94a8a2c76e26065bc90d6e1af37e8d135064b7e58ed0f7")),
+        (5, 3, 4, True, 50_000, (27, 50_000, 0, 49_978, "117b1995341c183f55b3d2bf37056028ca40dd5b35e08ff340138aaeda07d978")),
+        (11, 2, 10, True, 50_000, (81, 50_000, 0, 49_958, "042073da07c9f35625030fd214c18dbecda37e37c27aae5f036353486df80ac9")),
+    ],
+)
+def test_k_p_minus_1_searches_are_pinned(p, n, k, fix, budget, pin):
+    # (size, nodes, bound prunes, frame prunes, sha256 of the returned bits)
+    # of line-cap searches; the same as with a window table per line
+    budgets = {} if budget is None else {"node_budget": budget}
+    r = max_free_exact(p, n, k, fix_translation=fix, **budgets)
+    digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
+    assert (r.size, r.nodes, r.bound_prunes, r.frame_prunes, digest) == pin
+    assert r.optimal == (budget is None)
+
+
 # --- the line picked next -------------------------------------------------------
 
 
@@ -424,11 +474,11 @@ def test_frame_admits_an_affine_image_of_every_maximal_line_free_set(seed):
 
 def test_window_system_cache_holds_at_most_the_table_budget(monkeypatch):
     monkeypatch.setattr(search, "_systems", OrderedDict())
-    # 72 and 784 entries fit together; 300 more do not
-    monkeypatch.setattr(search, "TABLE_BUDGET", 72 + 784)
+    # 36 and 392 entries fit together; 150 more do not
+    monkeypatch.setattr(search, "TABLE_BUDGET", 36 + 392)
     a = search._window_system(3, 2, 3)
     b = search._window_system(7, 2, 7)
-    assert [ws.entries for ws in search._systems.values()] == [72, 784]
+    assert [ws.entries for ws in search._systems.values()] == [36, 392]
     assert search._window_system(3, 2, 3) is a  # a hit makes it most recent
     search._window_system(5, 2, 5)  # evicts the least recently used
     assert list(search._systems) == [(3, 2, 3), (5, 2, 5)]
