@@ -3,11 +3,13 @@ plus an independent brute-force oracle for tiny spaces.
 
 The exact engine decides points from the most constrained line first,
 else the undecided point on the most crowded lines; with fix_translation
-it first decides the two axes of the heaviest-line frame.  It propagates
-the rule that a k-window (the point set of a k-term progression) with
-k-1 chosen points excludes its remaining points, and prunes with the
-cardinality bound tightened by a per-line capacity bound.  Results are
-deterministic for a fixed configuration, including the reported set.
+it first decides the two axes of the heaviest-line frame, and keeps only
+axis patterns that are least under the frame's diagonal scalings.  It
+propagates the rule that a k-window (the point set of a k-term
+progression) with k-1 chosen points excludes its remaining points, and
+prunes with the cardinality bound tightened by a per-line capacity
+bound.  Results are deterministic for a fixed configuration, including
+the reported set.
 """
 
 from __future__ import annotations
@@ -67,6 +69,22 @@ class SearchConfig:
     returned witness is a maximum set (possibly not the
     lexicographically least one).  For n = 1 only the origin is forced
     out (translation only).
+
+    The frame still admits the images under the scalings diag(lam, mu),
+    (x, y) -> (lam x, mu y), and for n >= 3 diag(lam, mu, 1, ..., 1).
+    These fix the origin, carry each axis onto itself and lines to
+    lines, so they keep every out count, the excluded axis points, the
+    lines through them and therefore every frame cap.  Let X be the
+    x-coordinates of the excluded x-axis points (0 and 1 among them) and
+    Y those of the y-axis.  For a in X and b in Y, both nonzero,
+    diag(1/a, 1/b) carries a framed image to one with patterns X/a and
+    Y/b, which again hold 1; from that image the same family of patterns
+    is reachable.  So some framed image has X least among {X/a} and Y
+    least among {Y/b}, in the order of the mask sum of 2^t (any fixed
+    total order would do; a pattern that a scaling fixes passes, as
+    equality is allowed).  Once an axis is fully decided the search cuts
+    the node unless its pattern is least; decisions are never undone
+    down the tree, so no image of that kind is lost.
     """
 
     warm: PointSet | None = None
@@ -95,6 +113,7 @@ class SearchResult:
     elapsed: float
     bound_prunes: int  # nodes cut by the size bound
     frame_prunes: int  # branches cut by a fix_translation frame rule
+    orbit_prunes: int  # nodes cut by the frame's diagonal-scaling orbit check
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +126,7 @@ class SearchResult:
             "elapsed": round(self.elapsed, 3),
             "bound_prunes": self.bound_prunes,
             "frame_prunes": self.frame_prunes,
+            "orbit_prunes": self.orbit_prunes,
             "points": [list(pt) for pt in self.best.points()],
         }
 
@@ -164,7 +184,7 @@ class _WindowSystem:
         # and e_1 (x) and through the origin and e_2 (y); axis[q] is 1 on
         # the x-axis and 2 on the rest of the y-axis
         self.x_line = self.y_line = -1
-        self.x_points = self.axis_order = ()
+        self.x_points = self.axis_order = self.axes = ()
         self.axis = bytearray(num)
         if n > 1:
             pl = self.point_lines
@@ -174,6 +194,8 @@ class _WindowSystem:
             self.axis_order = self.x_points + self.line_points[self.y_line][1:]
             for q in self.axis_order:
                 self.axis[q] = 1 if q in self.x_points else 2
+            # an axis's points in index order have coordinates 0..p-1
+            self.axes = (self.x_points, self.line_points[self.y_line])
 
 
 def _line_capped(p: int, k: int) -> bool:
@@ -283,7 +305,8 @@ class _Budget:
 class _Engine:
     """One depth-first exploration over a fixed prefix of decisions.
 
-    framed: apply the fix_translation frame rules (see SearchConfig).
+    framed: apply the fix_translation frame rules and the orbit check of
+    its diagonal scalings (see SearchConfig).
     Each line l carries a cap on its excluded points, out_cap[l]: p
     without the frame; with it, p - in(x-axis), lowered to p - in(y-axis)
     on the lines other than the x-axis through an excluded x-axis point.
@@ -328,11 +351,13 @@ class _Engine:
         self.out_cap = [ws.p] * ws.num_lines
         self.axis = ws.axis if framed else bytes(ws.num_points)
         self.axis_order = ws.axis_order if framed else ()
+        self.axes = ws.axes if framed else ()
         self.best_size = best_size
         self.best_set: tuple[int, ...] | None = None
         self.nodes = 0
         self.bound_prunes = 0
         self.frame_prunes = 0
+        self.orbit_prunes = 0
         self.budget = budget
         self.grant = 0  # nodes drawn from the budget and not yet used
 
@@ -426,6 +451,27 @@ class _Engine:
         if any(map(operator.gt, self.line_out, cap)):
             self.frame_prunes += 1
             return False
+        return True
+
+    def _orbit_ok(self) -> bool:
+        """False if a fully decided axis has an excluded pattern that is not
+        least in its diagonal-scaling orbit (see SearchConfig).
+
+        An axis's pattern is the set T of coordinates of its excluded
+        points, ordered by the mask sum of 2^t; it must be at most T/a for
+        every a in T other than 0.
+        """
+        status, OUT, p = self.status, self.OUT, self.ws.p
+        for pts in self.axes:
+            if self.UNDEC in map(status.__getitem__, pts):
+                continue
+            out = [t for t, q in enumerate(pts) if status[q] == OUT]
+            mask = sum(1 << t for t in out)
+            for a in out:
+                if a:
+                    inv = pow(a, -1, p)
+                    if sum(1 << (t * inv % p) for t in out) < mask:
+                        return False
         return True
 
     def _undo_to(self, mark: int) -> None:
@@ -543,13 +589,17 @@ class _Engine:
         return None
 
     def dfs(self, framing: bool = True) -> None:
-        """Search below the current node; framing as in _pick."""
+        """Search below the current node; framing as in _pick, and while it
+        holds the node is cut unless _orbit_ok."""
         if not self.grant:
             self.grant = self.budget.draw()
             if not self.grant:
                 raise _BudgetExhausted
         self.grant -= 1
         self.nodes += 1
+        if framing and not self._orbit_ok():
+            self.orbit_prunes += 1
+            return
         most_need = max(self.class_need)
         leaf = self._leaf(most_need)
         if leaf is not None:
@@ -601,8 +651,8 @@ def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], .
     return tuple((2, q) for q in frame)
 
 
-# (best_size, best_set, exhausted, (nodes, bound_prunes, frame_prunes))
-_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int]]
+# (best_size, best_set, exhausted, (nodes, bound_prunes, frame_prunes, orbit_prunes))
+_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int, int]]
 
 
 def _run_tree(
@@ -615,7 +665,7 @@ def _run_tree(
     """Search one decision subtree."""
     eng = _Engine(ws, start_size, budget, framed)
     if not eng.run_prefix(prefix):
-        return start_size, None, True, (0, 0, 0)
+        return start_size, None, True, (0, 0, 0, 0)
     try:
         eng.dfs()
         exhausted = True
@@ -623,7 +673,8 @@ def _run_tree(
         exhausted = False
     finally:
         budget.give_back(eng.grant)  # the unused part of the last grant
-    return eng.best_size, eng.best_set, exhausted, (eng.nodes, eng.bound_prunes, eng.frame_prunes)
+    counts = (eng.nodes, eng.bound_prunes, eng.frame_prunes, eng.orbit_prunes)
+    return eng.best_size, eng.best_set, exhausted, counts
 
 
 def _root_prefixes(
@@ -657,8 +708,11 @@ def _root_prefixes(
 def _cut(eng: _Engine, prefix: tuple, depth: int, out: list) -> bool:
     """Append the prefixes `depth` decisions below eng's node to out.
 
-    Returns whether some branch was cut short of a leaf.
+    Returns whether some branch was cut short of a leaf.  Drops the
+    branches that the engine's orbit check would cut at their root.
     """
+    if not eng._orbit_ok():
+        return False
     if eng._leaf(max(eng.class_need)) is not None:
         out.append(prefix)
         return False
@@ -746,7 +800,7 @@ def max_free_exact(
         budget = _Budget(cfg.node_budget, deadline)
         prefix = _frame_prefix(cfg, p, n)
         outs = [_run_tree(ws, cfg.fix_translation, best_size, budget, prefix)]
-    nodes, bound_prunes, frame_prunes = (sum(c) for c in zip(*(o[3] for o in outs)))
+    nodes, bound_prunes, frame_prunes, orbit_prunes = (sum(c) for c in zip(*(o[3] for o in outs)))
     exhausted = all(o[2] for o in outs)
     for size, st, _, _ in outs:  # the first subtree that reaches the maximum
         if size > best_size:
@@ -765,6 +819,7 @@ def max_free_exact(
         elapsed=time.monotonic() - t0,
         bound_prunes=bound_prunes,
         frame_prunes=frame_prunes,
+        orbit_prunes=orbit_prunes,
     )
 
 

@@ -135,12 +135,30 @@ def test_criterion_3_f7_plane_k7():
 
 @pytest.mark.slow
 def test_criterion_3_f7_plane_k6():
-    # the longest proof of the suite; two worker processes halve its time
+    # a proof of seconds at two worker processes, with the frame's orbit check
     r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000, threads=2)
     assert r.size == 29 and r.optimal
-    assert (r.nodes, r.bound_prunes, r.frame_prunes) == (33_649_800, 10_166_167, 13_316_978)
+    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == (3_107_421, 847_680, 1_412_058, 0)
     assert find_progression(r.best, 6) is None
     assert r.elapsed < 7200.0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "k, size, counts",
+    [
+        (4, 18, (1_760_997, 781_546, 197_927, 0)),
+        (5, 22, (4_717_280, 1_158_833, 2_399_678, 0)),
+    ],
+)
+def test_criterion_3_f7_plane_k4_k5(k, size, counts):
+    # r_4(F_7^2) = 18 and r_5(F_7^2) = 22: (nodes, bound, frame and orbit
+    # prunes) at two worker processes, whose split decides both axes, so
+    # the split itself drops the subtrees that the orbit check would cut
+    r = max_free_exact(7, 2, k, ACCEPT_CFG, node_budget=400_000_000, threads=2)
+    assert r.size == size and r.optimal
+    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == counts
+    assert find_progression(r.best, k) is None
 
 
 def test_criterion_3_oracle_agreement_on_all_tiny_spaces():

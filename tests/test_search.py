@@ -233,7 +233,8 @@ def test_warm_start_lower_bounds_the_answer():
 
 
 SMALL = [(5, 2, 3, 6), (5, 2, 4, 11), (5, 2, 5, 16), (3, 2, 3, 4), (3, 3, 3, 9)]
-# the (7, 2, k) the framed search proves in seconds; k = 4, 5, 6 take minutes
+# the (7, 2, k) the framed search proves in seconds; k = 4, 5, 6 take tens
+# of seconds at 2 workers
 FRAMED_ONLY = [(7, 2, 3, 10), (7, 2, 7, 36)]
 
 
@@ -257,10 +258,12 @@ def test_root_split_respects_the_frame():
     prefixes = search._root_prefixes(ws, cfg, 2)
     assert len(prefixes) >= 2 * search._SUBTREES_PER_WORKER
     assert prefixes == sorted(prefixes)  # depth-first: in before out
+    assert len(prefixes) == 103  # 638 before the orbit check
     for pre in prefixes:
         assert pre[:3] == ((2, 0), (2, 1), (2, 7))
         assert [q for _, q in pre[3:]] == [2, 3, 4, 5, 6, 14, 21, 28, 35, 42]
-        assert search._Engine(ws, -1, framed=True).run_prefix(pre)  # live
+        eng = search._Engine(ws, -1, framed=True)
+        assert eng.run_prefix(pre) and eng._orbit_ok()  # live at the engine's root
 
 
 def test_root_split_stays_bounded_when_the_axes_are_long():
@@ -273,18 +276,18 @@ def test_root_split_stays_bounded_when_the_axes_are_long():
 @pytest.mark.parametrize(
     "p, n, k, counts",
     [
-        (5, 2, 3, (623, 182, 244)),
-        (5, 2, 4, (3428, 615, 2187)),
-        (5, 2, 5, (333, 117, 100)),
-        (3, 3, 3, (3418, 1648, 5)),
-        (7, 2, 7, (141906, 51119, 39669)),
+        (5, 2, 3, (482, 181, 89, 8)),
+        (5, 2, 4, (991, 235, 494, 11)),
+        (5, 2, 5, (143, 39, 50, 8)),
+        (3, 3, 3, (3418, 1648, 5, 0)),  # no scaling of F_3 moves a pattern
+        (7, 2, 7, (24707, 7406, 9654, 121)),
     ],
 )
 def test_frame_node_and_prune_counts_are_pinned(p, n, k, counts):
-    # (nodes, bound prunes, frame prunes) of a serial framed proof
+    # (nodes, bound prunes, frame prunes, orbit prunes) of a serial framed proof
     r = max_free_exact(p, n, k, fix_translation=True)
     assert r.optimal
-    assert (r.nodes, r.bound_prunes, r.frame_prunes) == counts
+    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == counts
 
 
 @pytest.mark.parametrize(
@@ -304,20 +307,21 @@ def test_budgeted_3d_searches_are_pinned(p, n, k, pin):
 @pytest.mark.parametrize(
     "p, n, k, fix, budget, pin",
     [
-        (5, 2, 4, False, None, (11, 37_297, 17_740, 0, "dde13eef463c09ecb9b81177257423679c280334171c0598b4dc679d83da103d")),
-        (7, 2, 6, True, 300_000, (25, 300_000, 4, 299_977, "f9da7a32cfaaf30dc59072ac8f9c57c3cf3bc5ce44167c5480d4a4f175919af9")),
-        (7, 2, 6, False, 200_000, (29, 200_000, 99_932, 0, "b2ee04afcd3d5c34af94a8a2c76e26065bc90d6e1af37e8d135064b7e58ed0f7")),
-        (5, 3, 4, True, 50_000, (27, 50_000, 0, 49_978, "117b1995341c183f55b3d2bf37056028ca40dd5b35e08ff340138aaeda07d978")),
-        (11, 2, 10, True, 50_000, (81, 50_000, 0, 49_958, "042073da07c9f35625030fd214c18dbecda37e37c27aae5f036353486df80ac9")),
+        (5, 2, 4, False, None, (11, 37_297, 17_740, 0, 0, "dde13eef463c09ecb9b81177257423679c280334171c0598b4dc679d83da103d")),
+        (7, 2, 6, True, 300_000, (27, 300_000, 69_729, 160_466, 30, "48e7d4b5620301b42a8c058663c2880e035676b6d4ec1a3a79598de15627858e")),
+        (7, 2, 6, False, 200_000, (29, 200_000, 99_932, 0, 0, "b2ee04afcd3d5c34af94a8a2c76e26065bc90d6e1af37e8d135064b7e58ed0f7")),
+        (5, 3, 4, True, 50_000, (27, 50_000, 0, 49_957, 11, "117b1995341c183f55b3d2bf37056028ca40dd5b35e08ff340138aaeda07d978")),
+        (11, 2, 10, True, 50_000, (81, 50_000, 0, 49_958, 0, "042073da07c9f35625030fd214c18dbecda37e37c27aae5f036353486df80ac9")),
     ],
 )
 def test_k_p_minus_1_searches_are_pinned(p, n, k, fix, budget, pin):
-    # (size, nodes, bound prunes, frame prunes, sha256 of the returned bits)
-    # of line-cap searches; the same as with a window table per line
+    # (size, nodes, bound prunes, frame prunes, orbit prunes, sha256 of the
+    # returned bits) of line-cap searches; the same as with a window table
+    # per line
     budgets = {} if budget is None else {"node_budget": budget}
     r = max_free_exact(p, n, k, fix_translation=fix, **budgets)
     digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
-    assert (r.size, r.nodes, r.bound_prunes, r.frame_prunes, digest) == pin
+    assert (r.size, r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, digest) == pin
     assert r.optimal == (budget is None)
 
 
@@ -398,9 +402,10 @@ def test_prune_counts_sum_over_workers():
     subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
     split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
     sums = tuple(map(sum, zip(*(o[3] for o in subtrees))))
-    assert (split.nodes, split.bound_prunes, split.frame_prunes) == sums
+    assert (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes) == sums
     assert split.bound_prunes > 0 and split.frame_prunes > 0
-    assert max_free_exact(5, 2, 4, threads=2).frame_prunes == 0
+    unframed = max_free_exact(5, 2, 4, threads=2)
+    assert unframed.frame_prunes == unframed.orbit_prunes == 0
 
 
 def _plane_lines(p: int) -> np.ndarray:
@@ -442,10 +447,19 @@ def _random_maximal_line_free(p: int, seed: int) -> np.ndarray:
     return member
 
 
+def _least_under_scaling(pattern: set[int], p: int) -> bool:
+    """Whether pattern's mask, the sum of 2^t, is least among its images
+    t -> lam * t that still hold 1."""
+    mask = sum(1 << t for t in pattern)
+    images = ({lam * t % p for t in pattern} for lam in range(1, p))
+    return all(mask <= sum(1 << t for t in image) for image in images if 1 in image)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_frame_admits_an_affine_image_of_every_maximal_line_free_set(seed):
     # brute force over AGL(2, 5): some image of a maximal free set has a
-    # complement meeting both frame rules, and the framed engine accepts it
+    # complement meeting both frame rules and least axis patterns under
+    # the scalings diag(lam, mu), and the framed engine accepts it
     p = 5
     member = _random_maximal_line_free(p, seed)
     lines = _plane_lines(p)
@@ -465,11 +479,46 @@ def test_frame_admits_an_affine_image_of_every_maximal_line_free_set(seed):
     admitted = images[_meets_frame_rules(1 - images, lines, p)]
     assert len(admitted) > 0
     ws = search._window_system(p, 2, p)
-    for bits in admitted[:5]:
-        eng = search._Engine(ws, -1, framed=True)
-        frame = search._frame_prefix(SearchConfig(fix_translation=True), p, 2)
+    frame = search._frame_prefix(SearchConfig(fix_translation=True), p, 2)
+    least = 0
+    for bits in admitted:
+        eng = search._Engine(ws, -1, search._Budget(1, None), framed=True)
         decisions = [(1 if b else 2, int(q)) for q, b in enumerate(bits)]
         assert eng.run_prefix(frame + tuple(decisions))
+        x_out = {t for t in range(p) if not bits[t]}  # point (t, 0)
+        y_out = {t for t in range(p) if not bits[p * t]}  # point (0, t)
+        is_least = _least_under_scaling(x_out, p) and _least_under_scaling(y_out, p)
+        assert eng._orbit_ok() == is_least
+        eng.dfs()  # a leaf: kept exactly when its patterns are least
+        assert eng.best_set == (tuple(np.nonzero(bits)[0]) if is_least else None)
+        least += is_least
+    assert least > 0
+
+
+@pytest.mark.parametrize("least", [False, True])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, least):
+    # F_11^2 has 18 undecided axis points and the split decides only 10, so
+    # the subtrees decide the rest of the y-axis and only the engine sees
+    # its whole pattern.  {0, 1, 6} / 6 = {0, 2, 1} has the smaller mask.
+    p = 11
+    pattern = {0, 1, 2} if least else {0, 1, 6}
+    decisions = [(2 if t in pattern else 1, t) for t in range(2, p)]
+    if axis == "y":  # past the split depth, after a least x-axis
+        decisions = [(2 if t < 3 else 1, t) for t in range(2, p)]
+        decisions += [(2 if t in pattern else 1, p * t) for t in range(2, p)]
+        assert len(decisions) > search._AXIS_SPLIT_DEPTH
+    prefix = search._frame_prefix(SearchConfig(fix_translation=True), p, 2) + tuple(decisions)
+    ws = search._window_system(p, 2, p)
+    _, best, exhausted, counts = search._run_tree(ws, True, -1, search._Budget(1, None), prefix)
+    if least:  # the root passes, and the next node finds the budget spent
+        assert not exhausted and counts == (1, 0, 0, 0)
+    else:
+        assert exhausted and best is None and counts == (1, 0, 0, 1)
+    # the split ships no subtree that the engine would cut at its root
+    for pre in search._root_prefixes(ws, SearchConfig(fix_translation=True), 2):
+        eng = search._Engine(ws, -1, framed=True)
+        assert eng.run_prefix(pre) and eng._orbit_ok()
 
 
 def test_window_system_cache_holds_at_most_the_table_budget(monkeypatch):
