@@ -339,16 +339,21 @@ class Rate:
 
 
 def _trunc_nth_root_milli(value: int, n: int, scale: int = 1000) -> int:
-    """Largest N with (N/scale)^n <= value, i.e. trunc(value^(1/n)*scale)."""
+    """Largest N with (N/scale)^n <= value, i.e. trunc(value^(1/n)*scale).
+
+    Integer bisection, so no value is too large for a float.
+    """
     if value < 0 or n < 1:
         raise ValueError("need value >= 0 and n >= 1")
     target = value * scale**n
-    est = int(round(target ** (1.0 / n)))
-    while est**n > target:
-        est -= 1
-    while (est + 1) ** n <= target:
-        est += 1
-    return est
+    lo, hi = 0, 1 << -(-target.bit_length() // n)  # lo^n <= target < hi^n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**n <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def alpha_from_set(size: int, n: int) -> Rate:

@@ -198,7 +198,7 @@ def cmd_search(args) -> int:
         overrides["warm"] = _read_grid(args.warm).pointset
     if args.threads is not None:
         overrides["threads"] = args.threads
-    cfg = SearchConfig(**overrides)
+    cfg = SearchConfig(fix_translation=True, **overrides)
     res = max_free_exact(args.p, args.n, args.k, cfg)
     if args.json:
         payload = res.to_dict()

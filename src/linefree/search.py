@@ -17,7 +17,6 @@ from __future__ import annotations
 import ctypes
 import operator
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,7 +27,9 @@ from .geometry import ResourceBudgetError, SpaceSpec, space_tables
 from .pointset import PointSet
 from .verifier import find_progression
 
-TABLE_BUDGET = 2**23  # entries of a space's line tables, and window tables for k < p - 1
+# entries of a search's line tables, and window tables for k < p - 1;
+# checked before a build, and the tables live for one search call
+TABLE_BUDGET = 2**23
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _window_rowsets(p: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _WindowSystem:
-    """Per-space constraint tables shared by engine instances.
+    """Constraint tables of one search call, shared by its engines.
 
     Lines are numbered by direction, then by closed-form key; line l's
     windows are numbered l*R .. l*R + R - 1 for R window position sets,
@@ -155,8 +156,8 @@ class _WindowSystem:
     """
 
     def __init__(self, p: int, n: int, k: int):
+        _table_entries(p, n, k)  # refuses an oversized space before any allocation
         space = SpaceSpec(p, n)
-        self.entries = _table_entries(p, n, k)
         self.p, self.n, self.k = p, n, k
         self.fused = _line_capped(p, k)
         t = space_tables(p, n)
@@ -233,36 +234,6 @@ def _owners(rows: np.ndarray, num: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(owners[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
 
-_systems: OrderedDict[tuple[int, int, int], _WindowSystem] = OrderedDict()
-
-
-def _window_system(p: int, n: int, k: int) -> _WindowSystem:
-    """The cached window system of (p, n, k).
-
-    The cache holds at most TABLE_BUDGET table entries in all: least
-    recently used systems are dropped before a new one is built, and
-    again after it is stored (its build may store a one-dimensional
-    system).
-    """
-    key = (p, n, k)
-    ws = _systems.pop(key, None)
-    if ws is None:
-        _evict_systems(room=_table_entries(p, n, k), keep=0)
-        ws = _WindowSystem(p, n, k)
-    _systems[key] = ws  # most recently used last
-    _evict_systems(room=0, keep=1)
-    return ws
-
-
-def _evict_systems(room: int, keep: int) -> None:
-    """Drop least recently used systems, but not the last `keep`, until
-    `room` more entries fit in TABLE_BUDGET.
-    """
-    held = sum(ws.entries for ws in _systems.values())
-    while len(_systems) > keep and held + room > TABLE_BUDGET:
-        held -= _systems.popitem(last=False)[1].entries
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -313,12 +284,14 @@ class _Engine:
     The caps move only when an axis point is decided, and the axis points
     are decided first, so below them _set_out checks constant caps.
 
-    A line is open while it is short of excluded points, out < need.
-    line_key[l] is max(undec, 2) for an open line and 0 for any other,
-    one byte per line (for n >= 2, TABLE_BUDGET admits only p <= 199;
-    for n = 1 need is 0 and every byte stays 0).  The per-line loops of
-    _set_in, _set_out and _undo_to keep it current, so _pick finds the
-    most constrained open line with at most p - 1 bytearray.find calls.
+    A line's counts are line_in and line_out; its undecided points
+    number undec = p - in - out.  A line is open while it is short of
+    excluded points, out < need.  line_key[l] is max(undec, 2) for an
+    open line and 0 for any other, one byte per line (for n >= 2,
+    TABLE_BUDGET admits only p <= 199; for n = 1 need is 0 and every
+    byte stays 0).  The per-line loops of _set_in, _set_out and _undo_to
+    keep it current, so _pick finds the most constrained open line with
+    at most p - 1 bytearray.find calls.
     ws.fused: k >= p - 1.  Every (p-1)-subset of Z_p is a (p-1)-term
     progression (the one missing m is m+1, ..., m+p-1), so a line's
     k-windows are its k-subsets: a line with k - 1 chosen points excludes
@@ -334,18 +307,16 @@ class _Engine:
         self.status = bytearray(ws.num_points)
         self.line_in = [0] * ws.num_lines
         self.win_in = self.line_in if ws.fused else [0] * len(ws.windows)
-        self.line_undec = [ws.p] * ws.num_lines
         self.line_out = [0] * ws.num_lines
         # a line needs at least p - cap excluded points; an excluded point
         # serves exactly one line per parallel class, so the outstanding
         # need of any single class lower-bounds future exclusions
         self.need = ws.p - ws.line_cap
         self.class_need = [self.need * ws.lines_per_class] * ws.num_classes
-        self.clamp = [max(u, 2) for u in range(ws.p + 1)]  # undec -> key
-        self.line_key = bytearray([self.clamp[ws.p] if self.need else 0]) * ws.num_lines
+        self.clamp = [max(ws.p - d, 2) for d in range(ws.p + 1)]  # in + out -> key
+        self.line_key = bytearray([self.clamp[0] if self.need else 0]) * ws.num_lines
         self.undec_total = ws.num_points
         self.cur_in = 0
-        self.chosen: list[int] = []
         # (op, point); op 1=in 2=out, or (3, caps) to restore out_cap
         self.trail: list[tuple[int, object]] = []
         self.out_cap = [ws.p] * ws.num_lines
@@ -368,9 +339,8 @@ class _Engine:
         status[q] = self.IN
         self.undec_total -= 1
         self.cur_in += 1
-        self.chosen.append(q)
         self.trail.append((1, q))
-        line_in, line_undec, key, clamp = self.line_in, self.line_undec, self.line_key, self.clamp
+        line_in, line_out, key, clamp = self.line_in, self.line_out, self.line_key, self.clamp
         k = self.k
         filled: list[int] = []
         full = False  # some window already held k - 1 chosen points
@@ -378,10 +348,8 @@ class _Engine:
             for l in ws.point_lines[q]:
                 c = line_in[l] + 1
                 line_in[l] = c
-                u = line_undec[l] - 1
-                line_undec[l] = u
                 if key[l]:
-                    key[l] = clamp[u]
+                    key[l] = clamp[c + line_out[l]]
                 if c >= k - 1:
                     if c == k:
                         full = True
@@ -389,11 +357,10 @@ class _Engine:
                         filled.append(l)
         else:
             for l in ws.point_lines[q]:
-                line_in[l] += 1
-                u = line_undec[l] - 1
-                line_undec[l] = u
+                c = line_in[l] + 1
+                line_in[l] = c
                 if key[l]:
-                    key[l] = clamp[u]
+                    key[l] = clamp[c + line_out[l]]
             for w in ws.point_windows[q]:
                 c = win_in[w] + 1
                 win_in[w] = c
@@ -415,19 +382,17 @@ class _Engine:
         self.undec_total -= 1
         self.trail.append((2, q))
         need, cap, key, clamp = self.need, self.out_cap, self.line_key, self.clamp
-        line_out, line_undec, class_need = self.line_out, self.line_undec, self.class_need
+        line_in, line_out, class_need = self.line_in, self.line_out, self.class_need
         ok = True
         # a point's j-th line lies in parallel class j
         for j, l in enumerate(self.ws.point_lines[q]):
-            u = line_undec[l] - 1
-            line_undec[l] = u
             out = line_out[l] + 1
             line_out[l] = out
             # a line's chosen points are free, so in <= line_cap and every
             # cap p - in is at least need: only out > need can exceed one
             if out <= need:
                 class_need[j] -= 1
-                key[l] = clamp[u] if out < need else 0
+                key[l] = clamp[line_in[l] + out] if out < need else 0
             elif out > cap[l]:
                 ok = False
         if not ok:
@@ -477,7 +442,7 @@ class _Engine:
     def _undo_to(self, mark: int) -> None:
         ws, need, fused = self.ws, self.need, self.ws.fused
         trail, status, win_in = self.trail, self.status, self.win_in
-        line_in, line_out, line_undec = self.line_in, self.line_out, self.line_undec
+        line_in, line_out = self.line_in, self.line_out
         key, clamp, class_need = self.line_key, self.clamp, self.class_need
         while len(trail) > mark:
             op, q = trail.pop()
@@ -485,24 +450,20 @@ class _Engine:
                 status[q] = self.UNDEC
                 self.undec_total += 1
                 for j, l in enumerate(ws.point_lines[q]):
-                    u = line_undec[l] + 1
-                    line_undec[l] = u
-                    out = line_out[l]
-                    line_out[l] = out - 1
-                    if out <= need:  # open again
+                    out = line_out[l] - 1
+                    line_out[l] = out
+                    if out < need:  # open again
                         class_need[j] += 1
-                        key[l] = clamp[u]
+                        key[l] = clamp[line_in[l] + out]
             elif op == 1:
                 status[q] = self.UNDEC
                 self.undec_total += 1
                 self.cur_in -= 1
-                self.chosen.pop()
                 for l in ws.point_lines[q]:
-                    line_in[l] -= 1
-                    u = line_undec[l] + 1
-                    line_undec[l] = u
+                    c = line_in[l] - 1
+                    line_in[l] = c
                     if key[l]:
-                        key[l] = clamp[u]
+                        key[l] = clamp[c + line_out[l]]
                 if not fused:
                     for w in ws.point_windows[q]:
                         win_in[w] -= 1
@@ -575,17 +536,14 @@ class _Engine:
     def _leaf(self, most_need: int) -> tuple[int, ...] | None:
         """The set this node completes to if it is a leaf, else None.
 
-        most_need is max(class_need).
+        most_need is max(class_need).  Either every point is decided, or
+        the only constraint is the per-line cap and every line already has
+        its full quota of exclusions, so taking every undecided point is
+        optimal here; the set is every point not excluded.
         """
-        if self.undec_total == 0:
-            return tuple(sorted(self.chosen))
-        if self.ws.fused and self.ws.n > 1 and most_need == 0:
-            # the only constraint is the per-line cap, and every line
-            # already has its full quota of exclusions, so taking every
-            # undecided point is optimal here
-            st = self.status
-            cand = self.chosen + [q for q in range(self.ws.num_points) if st[q] == self.UNDEC]
-            return tuple(sorted(cand))
+        if self.undec_total == 0 or (self.ws.fused and self.ws.n > 1 and most_need == 0):
+            OUT = self.OUT
+            return tuple(q for q, s in enumerate(self.status) if s != OUT)
         return None
 
     def dfs(self, framing: bool = True) -> None:
@@ -778,7 +736,7 @@ def max_free_exact(
         cfg = SearchConfig(**overrides)
     elif overrides:
         cfg = replace(cfg, **overrides)
-    ws = _window_system(p, n, k)
+    ws = _WindowSystem(p, n, k)
     t0 = time.monotonic()
     deadline = t0 + cfg.time_budget if cfg.time_budget else None
 

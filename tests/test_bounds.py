@@ -158,7 +158,7 @@ def test_alpha_from_set_pins():
 
 def test_alpha_from_set_truncation_is_exact():
     # milli must be the exact integer truncation: milli^n <= size*1000^n < (milli+1)^n
-    for size, n in [(70, 3), (225, 3), (268, 4), (66, 3), (10**9 + 7, 5)]:
+    for size, n in [(70, 3), (225, 3), (268, 4), (66, 3), (10**9 + 7, 5), (3**700, 3), (2**1100 + 1, 1)]:
         m = alpha_from_set(size, n).milli
         assert m**n <= size * 1000**n < (m + 1) ** n
 
@@ -173,7 +173,8 @@ def test_alpha_fgr_pins():
 
 def test_alpha_fgr_is_exact_truncation():
     # (milli/1000)^(2p) <= p*(p-1)^(2p-1) must hold with the next step failing.
-    for p in (5, 7, 11, 13, 17):
+    # from p = 37 on the target passes the float range
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 53, 71, 89, 97, 101):
         m = alpha_fgr(p).milli
         v = p * (p - 1) ** (2 * p - 1)
         assert m ** (2 * p) <= v * 1000 ** (2 * p) < (m + 1) ** (2 * p)

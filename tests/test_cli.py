@@ -114,6 +114,13 @@ def test_search_timing_flag_adds_counters():
     assert "nodes: " in text and "by the size bound" in text and "scaling orbits" in text
 
 
+def test_search_runs_the_framed_search():
+    # the serial framed proof of r_7(F_7^2) = 36 and its pinned counts
+    doc = run_json("search", "-p", "7", "-n", "2", "-k", "7", "--timing")
+    assert (doc["size"], doc["optimal"], doc["nodes"]) == (36, True, 24_707)
+    assert (doc["bound_prunes"], doc["frame_prunes"], doc["orbit_prunes"]) == (7_406, 9_654, 121)
+
+
 def test_search_node_budget_exhaustion_exit_code():
     proc = run("search", "-p", "5", "-n", "2", "-k", "5", "--budget", "10", expect=4)
     assert "16" in proc.stdout  # incumbent still reported
@@ -183,6 +190,8 @@ def test_rate_from_size():
 def test_rate_fgr():
     proc = run("rate", "--fgr", "-p", "5")
     assert "4.090" in proc.stdout
+    # p * (p - 1)^(2p - 1) * 1000^(2p) passes 2^1024 from p = 37 on
+    assert run_json("rate", "--fgr", "-p", "37")["display"] == "36.013"
 
 
 def test_rate_requires_one_mode():

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import os
 import random
 import subprocess
 import sys
-from collections import OrderedDict
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +95,10 @@ def test_window_tables_match_per_line_build(p, n, k):
     assert (ws.line_points, ws.point_lines) == (line_points, point_lines)
     if k < p - 1:
         assert (ws.windows, ws.point_windows) == (windows, point_windows)
-        assert ws.entries == p * len(line_points) + k * len(windows)
+        assert search._table_entries(p, n, k) == p * len(line_points) + k * len(windows)
     else:  # the lines are the windows: no second table
         assert ws.windows is ws.line_points and ws.point_windows is ws.point_lines
-        assert ws.entries == ws.num_lines * p
+        assert search._table_entries(p, n, k) == ws.num_lines * p
     got = (ws.windows, ws.line_points, ws.point_lines, ws.point_windows)
     assert all(type(q) is int for table in got for row in table for q in row)
     assert ws.num_lines == SpaceSpec(p, n).num_lines
@@ -254,7 +255,7 @@ def test_root_split_respects_the_frame():
     # every subtree starts from the frame, then decides the x-axis points
     # and the y-axis points, so its frame caps are fixed
     cfg = SearchConfig(fix_translation=True)
-    ws = search._window_system(7, 2, 7)
+    ws = search._WindowSystem(7, 2, 7)
     prefixes = search._root_prefixes(ws, cfg, 2)
     assert len(prefixes) >= 2 * search._SUBTREES_PER_WORKER
     assert prefixes == sorted(prefixes)  # depth-first: in before out
@@ -268,7 +269,7 @@ def test_root_split_respects_the_frame():
 
 def test_root_split_stays_bounded_when_the_axes_are_long():
     # F_11^2 has 18 undecided axis points; the split stops at 2^10 subtrees
-    ws = search._window_system(11, 2, 11)
+    ws = search._WindowSystem(11, 2, 11)
     prefixes = search._root_prefixes(ws, SearchConfig(fix_translation=True), 2)
     assert 2 * search._SUBTREES_PER_WORKER <= len(prefixes) <= 2**search._AXIS_SPLIT_DEPTH
 
@@ -338,8 +339,9 @@ def reference_pick(eng, framing=True):
     if eng.ws.n > 1:
         best_l, best_u = -1, eng.ws.p + 1
         for l in range(eng.ws.num_lines):
-            if eng.line_out[l] < eng.need and eng.line_undec[l] < best_u:
-                best_l, best_u = l, eng.line_undec[l]
+            undec = eng.ws.p - eng.line_in[l] - eng.line_out[l]
+            if eng.line_out[l] < eng.need and undec < best_u:
+                best_l, best_u = l, undec
                 if best_u <= 2:
                     break
         if best_l >= 0:
@@ -357,8 +359,8 @@ def reference_pick(eng, framing=True):
 
 def check_line_state(eng):
     """The engine's line key and class needs against a rebuild from the counts."""
-    need, lpc = eng.need, eng.ws.lines_per_class
-    keys = [0 if o >= need else max(u, 2) for o, u in zip(eng.line_out, eng.line_undec)]
+    need, lpc, p = eng.need, eng.ws.lines_per_class, eng.ws.p
+    keys = [0 if o >= need else max(p - i - o, 2) for i, o in zip(eng.line_in, eng.line_out)]
     assert eng.line_key == bytearray(keys)
     short = [max(need - o, 0) for o in eng.line_out]
     assert eng.class_need == [sum(short[c * lpc : (c + 1) * lpc]) for c in range(eng.ws.num_classes)]
@@ -370,7 +372,7 @@ def check_line_state(eng):
 def test_pick_matches_a_scan_over_every_line(p, n, k, framed):
     # random decision paths with random backtracking: at every node the
     # byte table equals a rebuild and the pick equals the full scan
-    ws = search._window_system(p, n, k)
+    ws = search._WindowSystem(p, n, k)
     rng = random.Random(p * 100 + n * 10 + k + framed)
     for _ in range(4):
         eng = search._Engine(ws, -1, framed=framed)
@@ -396,7 +398,7 @@ def test_pick_matches_a_scan_over_every_line(p, n, k, framed):
 def test_prune_counts_sum_over_workers():
     # a split search reports the sums of its subtrees' counts
     cfg = SearchConfig(fix_translation=True)
-    ws = search._window_system(5, 2, 4)
+    ws = search._WindowSystem(5, 2, 4)
     budget = search._Budget(cfg.node_budget, None)
     prefixes = search._root_prefixes(ws, cfg, 2)
     subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
@@ -478,7 +480,7 @@ def test_frame_admits_an_affine_image_of_every_maximal_line_free_set(seed):
     assert len(images) == 480 * 25
     admitted = images[_meets_frame_rules(1 - images, lines, p)]
     assert len(admitted) > 0
-    ws = search._window_system(p, 2, p)
+    ws = search._WindowSystem(p, 2, p)
     frame = search._frame_prefix(SearchConfig(fix_translation=True), p, 2)
     least = 0
     for bits in admitted:
@@ -509,7 +511,7 @@ def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, lea
         decisions += [(2 if t in pattern else 1, p * t) for t in range(2, p)]
         assert len(decisions) > search._AXIS_SPLIT_DEPTH
     prefix = search._frame_prefix(SearchConfig(fix_translation=True), p, 2) + tuple(decisions)
-    ws = search._window_system(p, 2, p)
+    ws = search._WindowSystem(p, 2, p)
     _, best, exhausted, counts = search._run_tree(ws, True, -1, search._Budget(1, None), prefix)
     if least:  # the root passes, and the next node finds the budget spent
         assert not exhausted and counts == (1, 0, 0, 0)
@@ -521,20 +523,20 @@ def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, lea
         assert eng.run_prefix(pre) and eng._orbit_ok()
 
 
-def test_window_system_cache_holds_at_most_the_table_budget(monkeypatch):
-    monkeypatch.setattr(search, "_systems", OrderedDict())
-    # 36 and 392 entries fit together; 150 more do not
-    monkeypatch.setattr(search, "TABLE_BUDGET", 36 + 392)
-    a = search._window_system(3, 2, 3)
-    b = search._window_system(7, 2, 7)
-    assert [ws.entries for ws in search._systems.values()] == [36, 392]
-    assert search._window_system(3, 2, 3) is a  # a hit makes it most recent
-    search._window_system(5, 2, 5)  # evicts the least recently used
-    assert list(search._systems) == [(3, 2, 3), (5, 2, 5)]
-    assert search._window_system(7, 2, 7) is not b  # rebuilt
-    assert list(search._systems) == [(7, 2, 7)]
-    assert sum(ws.entries for ws in search._systems.values()) <= search.TABLE_BUDGET
-    assert max_free_exact(7, 2, 7, node_budget=10).size == 36
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_keeps_no_tables_after_it_returns(monkeypatch, threads):
+    # each call builds its own tables, and nothing holds them once it returns
+    built = []
+
+    class Recorded(search._WindowSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(search, "_WindowSystem", Recorded)
+    assert max_free_exact(5, 2, 5, threads=threads).size == 16
+    gc.collect()
+    assert built and all(ref() is None for ref in built)
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
