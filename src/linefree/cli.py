@@ -203,7 +203,7 @@ def cmd_search(args) -> int:
     if args.json:
         payload = res.to_dict()
         if not args.timing:
-            for key in ("elapsed", "nodes", "bound_prunes", "frame_prunes", "orbit_prunes"):
+            for key in ("elapsed", "nodes", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates"):
                 del payload[key]
         _emit_json({"command": "search", **payload})
     else:
@@ -218,6 +218,7 @@ def cmd_search(args) -> int:
                 f"prunes: {res.bound_prunes} by the size bound, {res.frame_prunes} by the frame, "
                 f"{res.orbit_prunes} by the frame's scaling orbits"
             )
+            out.append(f"line updates: {res.line_updates}")
             out.append(f"elapsed: {res.elapsed:.3f}s")
         sys.stdout.write("\n".join(out) + "\n")
         if res.space.n >= 2:

@@ -20,6 +20,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -115,6 +116,7 @@ class SearchResult:
     bound_prunes: int  # nodes cut by the size bound
     frame_prunes: int  # branches cut by a fix_translation frame rule
     orbit_prunes: int  # nodes cut by the frame's diagonal-scaling orbit check
+    line_updates: int  # per-line count updates by applying and undoing decisions
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +130,7 @@ class SearchResult:
             "bound_prunes": self.bound_prunes,
             "frame_prunes": self.frame_prunes,
             "orbit_prunes": self.orbit_prunes,
+            "line_updates": self.line_updates,
             "points": [list(pt) for pt in self.best.points()],
         }
 
@@ -179,8 +182,10 @@ class _WindowSystem:
         # contiguous per direction, p^{n-1} lines each
         self.num_classes = space.num_directions
         self.lines_per_class = num // p
-        # per-line packing capacity; trivial for one-dimensional spaces
-        self.line_cap = one_dim_cap(p, k) if n > 1 else p
+        # per-line packing capacity; left at p for n = 1 below k = p - 1,
+        # where it is what the search computes.  Fused n = 1 takes k - 1,
+        # so that its line stays open until propagation has run (see _Engine)
+        self.line_cap = one_dim_cap(p, k) if n > 1 or self.fused else p
         # the fix_translation axes (n > 1): the lines through the origin
         # and e_1 (x) and through the origin and e_2 (y); axis[q] is 1 on
         # the x-axis and 2 on the rest of the y-axis
@@ -284,19 +289,37 @@ class _Engine:
     The caps move only when an axis point is decided, and the axis points
     are decided first, so below them _set_out checks constant caps.
 
-    A line's counts are line_in and line_out; its undecided points
-    number undec = p - in - out.  A line is open while it is short of
-    excluded points, out < need.  line_key[l] is max(undec, 2) for an
-    open line and 0 for any other, one byte per line (for n >= 2,
-    TABLE_BUDGET admits only p <= 199; for n = 1 need is 0 and every
-    byte stays 0).  The per-line loops of _set_in, _set_out and _undo_to
-    keep it current, so _pick finds the most constrained open line with
-    at most p - 1 bytearray.find calls.
     ws.fused: k >= p - 1.  Every (p-1)-subset of Z_p is a (p-1)-term
     progression (the one missing m is m+1, ..., m+p-1), so a line's
     k-windows are its k-subsets: a line with k - 1 chosen points excludes
     its other points, line_in doubles as the window counts, and one loop
     per point updates both.
+
+    A line's counts are line_in and line_out; its undecided points
+    number undec = p - in - out.  A line is open while it is short of
+    excluded points, out < need, that is while line_key[l] != 0:
+    line_key[l] is max(undec, 2) for an open line and 0 for any other,
+    one byte per line (for n >= 2, TABLE_BUDGET admits only p <= 199;
+    clamp stops at 255 for n = 1, where only a key's being 0 is read).
+    _pick finds the most constrained open line with at most p - 1
+    bytearray.find calls.  The counts of an open line are exact; a
+    decision updates only the lines whose counts can still be read, and
+    its trail entry keeps them:
+    - ws.fused: _set_in skips closed lines.  A closed line has in <=
+      k - 1, and with in = k - 1 it has no undecided point left, so it
+      can never become full or exclude a point.
+    - Out counts past need are read only by the frame caps, so an
+      unframed _set_out skips closed lines; a framed one visits every
+      line of q.
+    - k < p - 1: _set_in visits every line, as the fallback pick reads
+      line_in there.
+    - The axes: _reframe counts the chosen axis points from status; the
+      frame prefix closes both axes, so their line_in is not kept.
+    - Undo runs in LIFO order, so a line that was open or closed when q
+      was applied is still so when q is undone, and _undo_to reverses
+      exactly the lines in q's trail entry.
+    - n = 1 with ws.fused: line_cap is k - 1, so need >= 1 and the line
+      stays open, and propagating, until it holds need excluded points.
     """
 
     UNDEC, IN, OUT = 0, 1, 2
@@ -313,13 +336,15 @@ class _Engine:
         # need of any single class lower-bounds future exclusions
         self.need = ws.p - ws.line_cap
         self.class_need = [self.need * ws.lines_per_class] * ws.num_classes
-        self.clamp = [max(ws.p - d, 2) for d in range(ws.p + 1)]  # in + out -> key
+        self.clamp = [min(max(ws.p - d, 2), 255) for d in range(ws.p + 1)]  # in + out -> key
         self.line_key = bytearray([self.clamp[0] if self.need else 0]) * ws.num_lines
         self.undec_total = ws.num_points
         self.cur_in = 0
-        # (op, point); op 1=in 2=out, or (3, caps) to restore out_cap
-        self.trail: list[tuple[int, object]] = []
+        # (op, point, lines updated); op 1=in 2=out, or (3, caps, ()) to
+        # restore out_cap
+        self.trail: list[tuple[int, object, tuple[int, ...]]] = []
         self.out_cap = [ws.p] * ws.num_lines
+        self.framed = framed
         self.axis = ws.axis if framed else bytes(ws.num_points)
         self.axis_order = ws.axis_order if framed else ()
         self.axes = ws.axes if framed else ()
@@ -329,6 +354,7 @@ class _Engine:
         self.bound_prunes = 0
         self.frame_prunes = 0
         self.orbit_prunes = 0
+        self.line_updates = 0
         self.budget = budget
         self.grant = 0  # nodes drawn from the budget and not yet used
 
@@ -336,27 +362,30 @@ class _Engine:
     def _set_in(self, q: int) -> bool:
         """Choose q; returns False on an immediate contradiction."""
         ws, status, win_in = self.ws, self.status, self.win_in
+        line_in, line_out, key, clamp = self.line_in, self.line_out, self.line_key, self.clamp
         status[q] = self.IN
         self.undec_total -= 1
         self.cur_in += 1
-        self.trail.append((1, q))
-        line_in, line_out, key, clamp = self.line_in, self.line_out, self.line_key, self.clamp
+        lines = ws.point_lines[q]
+        if ws.fused:
+            lines = tuple(compress(lines, map(key.__getitem__, lines)))
+        self.trail.append((1, q, lines))
+        self.line_updates += len(lines)
         k = self.k
         filled: list[int] = []
         full = False  # some window already held k - 1 chosen points
         if ws.fused:
-            for l in ws.point_lines[q]:
+            for l in lines:
                 c = line_in[l] + 1
                 line_in[l] = c
-                if key[l]:
-                    key[l] = clamp[c + line_out[l]]
+                key[l] = clamp[c + line_out[l]]
                 if c >= k - 1:
                     if c == k:
                         full = True
                     else:
                         filled.append(l)
         else:
-            for l in ws.point_lines[q]:
+            for l in lines:
                 c = line_in[l] + 1
                 line_in[l] = c
                 if key[l]:
@@ -378,20 +407,24 @@ class _Engine:
 
     def _set_out(self, q: int) -> bool:
         """Exclude q; returns False if a line now exceeds its frame cap."""
-        self.status[q] = self.OUT
-        self.undec_total -= 1
-        self.trail.append((2, q))
         need, cap, key, clamp = self.need, self.out_cap, self.line_key, self.clamp
         line_in, line_out, class_need = self.line_in, self.line_out, self.class_need
+        lpc = self.ws.lines_per_class  # line l lies in parallel class l // lpc
+        self.status[q] = self.OUT
+        self.undec_total -= 1
+        lines = self.ws.point_lines[q]
+        if not self.framed:
+            lines = tuple(compress(lines, map(key.__getitem__, lines)))
+        self.trail.append((2, q, lines))
+        self.line_updates += len(lines)
         ok = True
-        # a point's j-th line lies in parallel class j
-        for j, l in enumerate(self.ws.point_lines[q]):
+        for l in lines:
             out = line_out[l] + 1
             line_out[l] = out
             # a line's chosen points are free, so in <= line_cap and every
             # cap p - in is at least need: only out > need can exceed one
             if out <= need:
-                class_need[j] -= 1
+                class_need[l // lpc] -= 1
                 key[l] = clamp[line_in[l] + out] if out < need else 0
             elif out > cap[l]:
                 ok = False
@@ -402,16 +435,17 @@ class _Engine:
 
     def _reframe(self) -> bool:
         """Recompute out_cap after an axis decision; False if a line exceeds it."""
-        ws = self.ws
-        cap_x = ws.p - self.line_in[ws.x_line]
-        cap_y = min(cap_x, ws.p - self.line_in[ws.y_line])
+        ws, status = self.ws, self.status
+        in_x, in_y = (sum(status[q] == self.IN for q in pts) for pts in ws.axes)
+        cap_x = ws.p - in_x
+        cap_y = min(cap_x, ws.p - in_y)
         cap = [cap_x] * ws.num_lines
         for q in ws.x_points:
-            if self.status[q] == self.OUT:
+            if status[q] == self.OUT:
                 for l in ws.point_lines[q]:
                     cap[l] = cap_y
         cap[ws.x_line] = cap_x
-        self.trail.append((3, self.out_cap))
+        self.trail.append((3, self.out_cap, ()))
         self.out_cap = cap
         if any(map(operator.gt, self.line_out, cap)):
             self.frame_prunes += 1
@@ -440,31 +474,32 @@ class _Engine:
         return True
 
     def _undo_to(self, mark: int) -> None:
-        ws, need, fused = self.ws, self.need, self.ws.fused
+        ws, need, lpc = self.ws, self.need, self.ws.lines_per_class
         trail, status, win_in = self.trail, self.status, self.win_in
         line_in, line_out = self.line_in, self.line_out
         key, clamp, class_need = self.line_key, self.clamp, self.class_need
         while len(trail) > mark:
-            op, q = trail.pop()
+            op, q, lines = trail.pop()
+            self.line_updates += len(lines)
             if op == 2:
                 status[q] = self.UNDEC
                 self.undec_total += 1
-                for j, l in enumerate(ws.point_lines[q]):
+                for l in lines:
                     out = line_out[l] - 1
                     line_out[l] = out
                     if out < need:  # open again
-                        class_need[j] += 1
+                        class_need[l // lpc] += 1
                         key[l] = clamp[line_in[l] + out]
             elif op == 1:
                 status[q] = self.UNDEC
                 self.undec_total += 1
                 self.cur_in -= 1
-                for l in ws.point_lines[q]:
+                for l in lines:
                     c = line_in[l] - 1
                     line_in[l] = c
                     if key[l]:
                         key[l] = clamp[c + line_out[l]]
-                if not fused:
+                if not ws.fused:
                     for w in ws.point_windows[q]:
                         win_in[w] -= 1
             else:
@@ -609,8 +644,9 @@ def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], .
     return tuple((2, q) for q in frame)
 
 
-# (best_size, best_set, exhausted, (nodes, bound_prunes, frame_prunes, orbit_prunes))
-_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int, int]]
+# (best_size, best_set, exhausted,
+#  (nodes, bound_prunes, frame_prunes, orbit_prunes, line_updates))
+_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int, int, int]]
 
 
 def _run_tree(
@@ -623,7 +659,7 @@ def _run_tree(
     """Search one decision subtree."""
     eng = _Engine(ws, start_size, budget, framed)
     if not eng.run_prefix(prefix):
-        return start_size, None, True, (0, 0, 0, 0)
+        return start_size, None, True, (0, 0, 0, 0, eng.line_updates)
     try:
         eng.dfs()
         exhausted = True
@@ -631,7 +667,7 @@ def _run_tree(
         exhausted = False
     finally:
         budget.give_back(eng.grant)  # the unused part of the last grant
-    counts = (eng.nodes, eng.bound_prunes, eng.frame_prunes, eng.orbit_prunes)
+    counts = (eng.nodes, eng.bound_prunes, eng.frame_prunes, eng.orbit_prunes, eng.line_updates)
     return eng.best_size, eng.best_set, exhausted, counts
 
 
@@ -758,7 +794,8 @@ def max_free_exact(
         budget = _Budget(cfg.node_budget, deadline)
         prefix = _frame_prefix(cfg, p, n)
         outs = [_run_tree(ws, cfg.fix_translation, best_size, budget, prefix)]
-    nodes, bound_prunes, frame_prunes, orbit_prunes = (sum(c) for c in zip(*(o[3] for o in outs)))
+    counts = (sum(c) for c in zip(*(o[3] for o in outs)))
+    nodes, bound_prunes, frame_prunes, orbit_prunes, line_updates = counts
     exhausted = all(o[2] for o in outs)
     for size, st, _, _ in outs:  # the first subtree that reaches the maximum
         if size > best_size:
@@ -778,6 +815,7 @@ def max_free_exact(
         bound_prunes=bound_prunes,
         frame_prunes=frame_prunes,
         orbit_prunes=orbit_prunes,
+        line_updates=line_updates,
     )
 
 

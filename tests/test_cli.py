@@ -106,12 +106,13 @@ def test_search_json_is_byte_identical_across_runs():
 
 
 def test_search_timing_flag_adds_counters():
-    counters = {"nodes", "elapsed", "bound_prunes", "frame_prunes", "orbit_prunes"}
+    counters = {"nodes", "elapsed", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates"}
     doc = run_json("search", "-p", "3", "-n", "2", "-k", "3", "--timing")
     assert counters <= set(doc)
     assert not counters & set(run_json("search", "-p", "3", "-n", "2", "-k", "3"))
     text = run("search", "-p", "5", "-n", "2", "-k", "4", "--timing").stdout
     assert "nodes: " in text and "by the size bound" in text and "scaling orbits" in text
+    assert "line updates: " in text
 
 
 def test_search_runs_the_framed_search():

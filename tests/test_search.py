@@ -154,6 +154,13 @@ def test_search_agrees_with_oracle_on_small_spaces():
                 assert r.optimal and r.size == want, (p, n, k, fix)
 
 
+def test_one_dimensional_line_cap_search_keys_fit_a_byte():
+    # fused n = 1 keeps its line open while it propagates, so its key is
+    # nonzero, and still one byte when p > 255
+    r = max_free_exact(257, 1, 256, node_budget=100)
+    assert (r.size, r.optimal) == (255, False)
+
+
 def test_size_is_monotone_in_k():
     sizes = [max_free_exact(5, 2, k).size for k in (3, 4, 5)]
     assert sizes == sorted(sizes)
@@ -170,6 +177,7 @@ def test_result_shape_and_default_k():
     assert d["size"] == 4 and d["optimal"] is True
     assert len(d["points"]) == 4
     assert d["nodes"] == r.nodes and d["elapsed"] == round(r.elapsed, 3)
+    assert d["line_updates"] == r.line_updates > 0
 
 
 # --- budgets ------------------------------------------------------------------
@@ -326,6 +334,22 @@ def test_k_p_minus_1_searches_are_pinned(p, n, k, fix, budget, pin):
     assert r.optimal == (budget is None)
 
 
+@pytest.mark.parametrize(
+    "p, n, k, budget, fix, updates",
+    [
+        (5, 3, 5, 50_000, False, 334_324),  # 4,404,666 if every line of q were updated
+        (7, 3, 7, 10_000, False, 110_930),  # 1,403,910
+        (7, 2, 7, None, True, 442_376),  # 641,416
+    ],
+)
+def test_line_updates_are_pinned(p, n, k, budget, fix, updates):
+    # per-line count updates of the benchmark's budgeted 3-D runs and of the
+    # serial framed (7,2,7) proof: only open lines, and every line of an
+    # excluded point under the frame
+    budgets = {} if budget is None else {"node_budget": budget}
+    assert max_free_exact(p, n, k, fix_translation=fix, **budgets).line_updates == updates
+
+
 # --- the line picked next -------------------------------------------------------
 
 
@@ -395,8 +419,109 @@ def test_pick_matches_a_scan_over_every_line(p, n, k, framed):
         check_line_state(eng)
 
 
+def applied_lines(eng, op, q):
+    """The lines a decision (op, q) should update: those whose counts can
+    still be read, by the rules in _Engine's docstring."""
+    lines = eng.ws.point_lines[q]
+    every = eng.framed if op == 2 else not eng.ws.fused
+    return lines if every else tuple(l for l in lines if eng.line_key[l])
+
+
+def rebuilt_caps(eng, st):
+    """out_cap by the frame rules of SearchConfig, read from status."""
+    ws, p = eng.ws, eng.ws.p
+    cap = np.full(ws.num_lines, p)
+    if eng.framed and ws.n > 1:
+        in_x, in_y = ((st[list(pts)] == eng.IN).sum() for pts in ws.axes)
+        cap[:] = p - in_x
+        guarded = [l for q in ws.x_points if st[q] == eng.OUT for l in ws.point_lines[q]]
+        guarded = sorted(set(guarded) - {ws.x_line})
+        cap[guarded] = min(p - in_x, p - in_y)
+    return cap.tolist()
+
+
+def check_live_lines(eng, applied, settled):
+    """The engine's open lines, keys, needs and trail against a rebuild
+    from status; settled: the last step succeeded, so out_cap is current."""
+    ws, p, need = eng.ws, eng.ws.p, eng.need
+    st = np.frombuffer(bytes(eng.status), dtype=np.uint8)
+    on_lines = st[np.array(ws.line_points)]
+    ins, outs = (on_lines == eng.IN).sum(1), (on_lines == eng.OUT).sum(1)
+    live = outs < need
+    keys = np.where(live, np.clip(p - ins - outs, 2, 255), 0)
+    assert eng.line_key == bytearray(keys.astype(np.uint8).tobytes())
+    line_in, line_out = np.array(eng.line_in), np.array(eng.line_out)
+    assert (line_in[live] == ins[live]).all() and (line_out[live] == outs[live]).all()
+    if not ws.fused:  # the fallback pick reads every line_in
+        assert eng.line_in == ins.tolist()
+        assert eng.win_in == (st[np.array(ws.windows)] == eng.IN).sum(1).tolist()
+    if eng.framed:  # the frame caps read every line_out
+        assert eng.line_out == outs.tolist()
+    short = np.maximum(need - outs, 0).reshape(ws.num_classes, ws.lines_per_class)
+    assert eng.class_need == short.sum(1).tolist()
+    assert eng.undec_total == (st == eng.UNDEC).sum() and eng.cur_in == (st == eng.IN).sum()
+    for i, entry in enumerate(eng.trail):
+        if entry[0] != 3:
+            assert entry == applied[i]
+    if settled:
+        assert eng.out_cap == rebuilt_caps(eng, st)
+
+
+def live_state(eng):
+    live = [l for l in range(eng.ws.num_lines) if eng.line_key[l]]
+    counts = [(eng.line_in[l], eng.line_out[l]) for l in live]
+    return bytes(eng.status), bytes(eng.line_key), list(eng.class_need), list(eng.out_cap), counts
+
+
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize(
+    "p, n, k", [(5, 3, 5), (7, 3, 7), (5, 2, 4), (7, 2, 3), (3, 3, 3), (7, 1, 6)]
+)
+def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
+    # random decisions on random points with random backtracking: at every
+    # step the open lines' counts, the keys and the class needs equal a
+    # rebuild from status, and each trail entry holds exactly the lines
+    # its decision had to update; undoing everything restores the root
+    ws = search._WindowSystem(p, n, k)
+    rng = random.Random(p * 100 + n * 10 + k + framed)
+    for _ in range(3):
+        eng = search._Engine(ws, -1, framed=framed)
+        applied: dict[int, tuple] = {}  # trail position -> expected entry
+
+        def spy(op, decide):
+            def apply(q):
+                applied[len(eng.trail)] = (op, q, applied_lines(eng, op, q))
+                return decide(q)
+
+            return apply
+
+        eng._set_in, eng._set_out = spy(1, eng._set_in), spy(2, eng._set_out)
+        root = live_state(eng)
+        assert eng.run_prefix(search._frame_prefix(SearchConfig(fix_translation=framed), p, n))
+        check_live_lines(eng, applied, True)
+        marks: list[int] = []
+        for _ in range(150):
+            undecided = [q for q, s in enumerate(eng.status) if s == eng.UNDEC]
+            if not undecided or (marks and rng.random() < 0.25):
+                if not marks:
+                    break
+                i = rng.randrange(len(marks))
+                eng._undo_to(marks[i])
+                del marks[i:]
+                check_live_lines(eng, applied, True)
+                continue
+            q = rng.choice(undecided)
+            marks.append(len(eng.trail))
+            ok = eng._set_in(q) if rng.random() < 0.5 else eng._set_out(q)
+            check_live_lines(eng, applied, ok)
+            if not ok:
+                eng._undo_to(marks.pop())
+        eng._undo_to(0)
+        assert live_state(eng) == root
+
+
 def test_prune_counts_sum_over_workers():
-    # a split search reports the sums of its subtrees' counts
+    # a split search reports the sums of its subtrees' counts, line updates too
     cfg = SearchConfig(fix_translation=True)
     ws = search._WindowSystem(5, 2, 4)
     budget = search._Budget(cfg.node_budget, None)
@@ -404,7 +529,8 @@ def test_prune_counts_sum_over_workers():
     subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
     split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
     sums = tuple(map(sum, zip(*(o[3] for o in subtrees))))
-    assert (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes) == sums
+    counts = (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes, split.line_updates)
+    assert counts == sums
     assert split.bound_prunes > 0 and split.frame_prunes > 0
     unframed = max_free_exact(5, 2, 4, threads=2)
     assert unframed.frame_prunes == unframed.orbit_prunes == 0
@@ -514,9 +640,9 @@ def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, lea
     ws = search._WindowSystem(p, 2, p)
     _, best, exhausted, counts = search._run_tree(ws, True, -1, search._Budget(1, None), prefix)
     if least:  # the root passes, and the next node finds the budget spent
-        assert not exhausted and counts == (1, 0, 0, 0)
+        assert not exhausted and counts[:4] == (1, 0, 0, 0)
     else:
-        assert exhausted and best is None and counts == (1, 0, 0, 1)
+        assert exhausted and best is None and counts[:4] == (1, 0, 0, 1)
     # the split ships no subtree that the engine would cut at its root
     for pre in search._root_prefixes(ws, SearchConfig(fix_translation=True), 2):
         eng = search._Engine(ws, -1, framed=True)
