@@ -40,8 +40,10 @@ class SearchConfig:
     warm: optional starting incumbent (must verify k-progression-free).
 
     threads: worker processes.  None or 1 searches in the calling
-    process; more forks that many workers (POSIX) over at least 16
-    subtrees each.  The node and time budgets hold for the whole call, and the
+    process.  More splits the tree into at least 16 subtrees per worker;
+    the calling process searches them in order until it has spent 2^15
+    nodes, and only then forks that many workers (POSIX) for the rest.
+    The node and time budgets hold for the whole call, and the
     reported set is the first maximum set in depth-first order (a tie
     never replaces an earlier set), so size and set are the same at any
     worker count.
@@ -244,6 +246,7 @@ class _BudgetExhausted(Exception):
 
 
 _GRANT = 2048  # nodes an engine draws from the budget at a time
+_INLINE_NODES = 2**15  # nodes a threaded call searches itself before it forks
 _SUBTREES_PER_WORKER = 16  # enough to even out subtrees of unequal size
 _AXIS_SPLIT_DEPTH = 10  # at most 2^10 subtrees from the frame's axis points
 
@@ -304,7 +307,10 @@ class _Engine:
     _pick finds the most constrained open line with at most p - 1
     bytearray.find calls.  The counts of an open line are exact; a
     decision updates only the lines whose counts can still be read, and
-    its trail entry keeps them:
+    its trail entry keeps them.  Where those are q's open lines, one
+    C-level gather of their keys, itemgetter(*point_lines[q]), built per
+    decision, selects them, so nothing is kept per point (for n = 1 it
+    gathers one key, which itemgetter returns as a bare int):
     - ws.fused: _set_in skips closed lines.  A closed line has in <=
       k - 1, and with in = k - 1 it has no undecided point left, so it
       can never become full or exclude a point.
@@ -368,7 +374,8 @@ class _Engine:
         self.cur_in += 1
         lines = ws.point_lines[q]
         if ws.fused:
-            lines = tuple(compress(lines, map(key.__getitem__, lines)))
+            keys = operator.itemgetter(*lines)(key)
+            lines = tuple(compress(lines, keys if ws.n > 1 else (keys,)))
         self.trail.append((1, q, lines))
         self.line_updates += len(lines)
         k = self.k
@@ -407,14 +414,15 @@ class _Engine:
 
     def _set_out(self, q: int) -> bool:
         """Exclude q; returns False if a line now exceeds its frame cap."""
-        need, cap, key, clamp = self.need, self.out_cap, self.line_key, self.clamp
+        ws, need, cap, key, clamp = self.ws, self.need, self.out_cap, self.line_key, self.clamp
         line_in, line_out, class_need = self.line_in, self.line_out, self.class_need
-        lpc = self.ws.lines_per_class  # line l lies in parallel class l // lpc
+        lpc = ws.lines_per_class  # line l lies in parallel class l // lpc
         self.status[q] = self.OUT
         self.undec_total -= 1
-        lines = self.ws.point_lines[q]
+        lines = ws.point_lines[q]
         if not self.framed:
-            lines = tuple(compress(lines, map(key.__getitem__, lines)))
+            keys = operator.itemgetter(*lines)(key)
+            lines = tuple(compress(lines, keys if ws.n > 1 else (keys,)))
         self.trail.append((2, q, lines))
         self.line_updates += len(lines)
         ok = True
@@ -738,21 +746,38 @@ def _run_worker_tree(prefix: tuple[tuple[int, int], ...]) -> _TreeResult:
 def _run_workers(
     ws: _WindowSystem, cfg: SearchConfig, start_size: int, deadline: float | None, workers: int
 ) -> list[_TreeResult]:
-    """_run_tree over the root subtrees on forked workers, in subtree order.
+    """_run_tree over the root subtrees, in subtree order.
 
-    Forked workers inherit the window tables and the shared budget
-    instead of rebuilding them; they run only the pure-Python engine.
-    multiprocessing is imported here, not at module level, so
-    that importing linefree stays as cheap as a serial search needs.
+    The calling process searches the subtrees itself until it has spent
+    _INLINE_NODES nodes, so a small tree never pays for a pool; each
+    subtree runs as it would on a worker, so only where it runs changes.
+    Forked workers take the rest, inherit the window tables and draw what
+    is left of the allowance from a shared budget.  multiprocessing is
+    imported only then, so that importing linefree and a small threaded
+    search stay as cheap as a serial search.
     """
+    prefixes = _root_prefixes(ws, cfg, workers)
+    budget = _Budget(cfg.node_budget, deadline)
+    outs: list[_TreeResult] = []
+    spent = 0
+    for prefix in prefixes:
+        if spent >= _INLINE_NODES:
+            break
+        out = _run_tree(ws, cfg.fix_translation, start_size, budget, prefix)
+        outs.append(out)
+        spent += out[3][0]
+        if not out[2]:  # the budget ran out
+            return outs
+    rest = prefixes[len(outs) :]
+    if not rest:
+        return outs
     import multiprocessing
 
     mp = multiprocessing.get_context("fork")
-    budget = _Budget(cfg.node_budget, deadline, mp)
-    prefixes = _root_prefixes(ws, cfg, workers)
-    args = (ws, cfg.fix_translation, start_size, budget)
+    shared = _Budget(budget.left.value, deadline, mp)
+    args = (ws, cfg.fix_translation, start_size, shared)
     with mp.Pool(workers, _init_worker, args) as pool:
-        return list(pool.imap(_run_worker_tree, prefixes))
+        return outs + list(pool.imap(_run_worker_tree, rest))
 
 
 def max_free_exact(

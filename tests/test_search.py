@@ -251,9 +251,13 @@ FRAMED_ONLY = [(7, 2, 3, 10), (7, 2, 7, 36)]
     "p, n, k, size, fix",
     [(*c, fix) for c in SMALL for fix in (False, True)] + [(*c, True) for c in FRAMED_ONLY],
 )
-def test_thread_counts_agree_on_value_and_set(p, n, k, size, fix):
-    # the first maximum set in depth-first order, whatever the split
-    results = [max_free_exact(p, n, k, threads=t, fix_translation=fix) for t in (None, 1, 2, 4)]
+def test_thread_counts_agree_on_value_and_set(monkeypatch, p, n, k, size, fix):
+    # the first maximum set in depth-first order, whatever the split, with
+    # every subtree on forked workers (cutoff 0) and with the default head
+    results = [max_free_exact(p, n, k, threads=t, fix_translation=fix) for t in (None, 1)]
+    for cutoff in (0, search._INLINE_NODES):
+        monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
+        results += [max_free_exact(p, n, k, threads=t, fix_translation=fix) for t in (2, 4)]
     assert {r.size for r in results} == {size}
     assert all(r.optimal for r in results)
     assert len({r.best for r in results}) == 1
@@ -475,7 +479,7 @@ def live_state(eng):
 
 @pytest.mark.parametrize("framed", [False, True])
 @pytest.mark.parametrize(
-    "p, n, k", [(5, 3, 5), (7, 3, 7), (5, 2, 4), (7, 2, 3), (3, 3, 3), (7, 1, 6)]
+    "p, n, k", [(5, 3, 5), (7, 3, 7), (5, 2, 4), (7, 2, 3), (3, 3, 3), (7, 1, 6), (7, 1, 7)]
 )
 def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
     # random decisions on random points with random backtracking: at every
@@ -670,15 +674,22 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
         raise RuntimeError(f"engine failed in process {os.getpid()}")
 
     monkeypatch.setattr(search._Engine, "dfs", fail)
+    monkeypatch.setattr(search, "_INLINE_NODES", 0)  # every subtree on a worker
     with pytest.raises(RuntimeError, match="engine failed in process") as err:
         max_free_exact(5, 2, 4, threads=2)
     assert str(os.getpid()) not in str(err.value)  # raised in a worker
 
 
 def test_import_leaves_multiprocessing_out():
-    # only a search with more than one worker imports multiprocessing
+    # only a search that forks workers imports multiprocessing; framed
+    # (7,2,7) at 2 workers takes about 24k nodes, under _INLINE_NODES, so
+    # the calling process searches every subtree itself
     src = Path(search.__file__).resolve().parents[1]
-    code = "import sys, linefree, linefree.cli; print('multiprocessing' in sys.modules)"
+    code = (
+        "import sys, linefree, linefree.cli; print('multiprocessing' in sys.modules); "
+        "r = linefree.search.max_free_exact(7, 2, 7, threads=2, fix_translation=True); "
+        "print(r.size, r.optimal, 'multiprocessing' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -687,7 +698,40 @@ def test_import_leaves_multiprocessing_out():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "36 True False"]
+
+
+def test_handover_to_workers_keeps_every_count(monkeypatch):
+    # the same subtrees, whether all forked, handed over after the first
+    # few or the last few (37,386 nodes pass the default cutoff), or all
+    # searched in the calling process
+    runs = {}
+    for cutoff in (0, 300, search._INLINE_NODES, 10**9):
+        monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
+        r = max_free_exact(5, 2, 4, threads=2)
+        digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
+        runs[cutoff] = (r.size, digest, r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, r.line_updates)
+    assert len(set(runs.values())) == 1
+    size, _, nodes, *_ = runs[0]
+    assert (size, nodes) == (11, 37_386)
+
+
+def test_node_budget_holds_across_the_handover(monkeypatch):
+    # the first two subtrees take 175 + 483 nodes in the calling process,
+    # and the workers draw the rest of the 2,000 from a shared budget
+    monkeypatch.setattr(search, "_INLINE_NODES", 500)
+    inline = []  # nodes of the subtrees searched in this process; a worker's calls stay in the worker
+    search_tree = search._run_tree
+
+    def run_tree(*args):
+        out = search_tree(*args)
+        inline.append(out[3][0])
+        return out
+
+    monkeypatch.setattr(search, "_run_tree", run_tree)
+    r = max_free_exact(5, 2, 4, threads=2, node_budget=2_000)
+    assert inline == [175, 483]
+    assert sum(inline) < r.nodes <= 2_000 and not r.optimal
 
 
 # --- heuristic mode ---------------------------------------------------------------
