@@ -41,7 +41,7 @@ class SearchConfig:
 
     threads: worker processes.  None or 1 searches in the calling
     process.  More splits the tree into at least 16 subtrees per worker;
-    the calling process searches them in order until it has spent 2^15
+    the calling process searches them in order from an allowance of 2^15
     nodes, and only then forks that many workers (POSIX) for the rest.
     The node and time budgets hold for the whole call, and the
     reported set is the first maximum set in depth-first order (a tie
@@ -748,36 +748,37 @@ def _run_workers(
 ) -> list[_TreeResult]:
     """_run_tree over the root subtrees, in subtree order.
 
-    The calling process searches the subtrees itself until it has spent
-    _INLINE_NODES nodes, so a small tree never pays for a pool; each
-    subtree runs as it would on a worker, so only where it runs changes.
+    The calling process searches the subtrees itself from an allowance of
+    _INLINE_NODES nodes, so a small tree never pays for a pool and a large
+    one runs at most that many nodes before it forks.  A subtree that the
+    allowance, not the call's budget or deadline, cuts short is searched
+    again, whole, on a worker, so only where a subtree runs changes.
     Forked workers take the rest, inherit the window tables and draw what
-    is left of the allowance from a shared budget.  multiprocessing is
+    is left of the node budget from a shared budget.  multiprocessing is
     imported only then, so that importing linefree and a small threaded
     search stay as cheap as a serial search.
     """
     prefixes = _root_prefixes(ws, cfg, workers)
-    budget = _Budget(cfg.node_budget, deadline)
+    head = _Budget(min(cfg.node_budget, _INLINE_NODES), deadline)
     outs: list[_TreeResult] = []
-    spent = 0
     for prefix in prefixes:
-        if spent >= _INLINE_NODES:
+        if not head.left.value:  # the allowance is spent
             break
-        out = _run_tree(ws, cfg.fix_translation, start_size, budget, prefix)
+        out = _run_tree(ws, cfg.fix_translation, start_size, head, prefix)
+        if not out[2]:  # cut short
+            if cfg.node_budget <= _INLINE_NODES or deadline is not None and time.monotonic() > deadline:
+                return outs + [out]  # by the call's own budget
+            break
         outs.append(out)
-        spent += out[3][0]
-        if not out[2]:  # the budget ran out
-            return outs
-    rest = prefixes[len(outs) :]
-    if not rest:
+    else:
         return outs
     import multiprocessing
 
     mp = multiprocessing.get_context("fork")
-    shared = _Budget(budget.left.value, deadline, mp)
+    shared = _Budget(cfg.node_budget - sum(o[3][0] for o in outs), deadline, mp)
     args = (ws, cfg.fix_translation, start_size, shared)
     with mp.Pool(workers, _init_worker, args) as pool:
-        return outs + list(pool.imap(_run_worker_tree, rest))
+        return outs + list(pool.imap(_run_worker_tree, prefixes[len(outs) :]))
 
 
 def max_free_exact(

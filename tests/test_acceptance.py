@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_set
+from linefree import search
 from linefree.bounds import (
     alpha_fgr,
     alpha_from_set,
@@ -356,9 +357,14 @@ def test_criterion_7_grid_round_trip_everywhere(rng):
     assert time.monotonic() - t0 < 60.0
 
 
-def test_criterion_7_thread_count_independence():
+def test_criterion_7_thread_count_independence(monkeypatch):
+    # multi-worker runs with every subtree forked (cutoff 0) and with the
+    # default in-process head
     t0 = time.monotonic()
-    searches = [max_free_exact(5, 2, 4, threads=t) for t in (1, 2, 4)]
+    searches = [max_free_exact(5, 2, 4, threads=1)]
+    for cutoff in (0, search._INLINE_NODES):
+        monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
+        searches += [max_free_exact(5, 2, 4, threads=t) for t in (2, 4)]
     assert len({r.size for r in searches}) == 1
     assert len({r.best for r in searches}) == 1
     assert all(r.optimal for r in searches)

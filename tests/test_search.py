@@ -198,14 +198,18 @@ def test_time_budget_exhaustion():
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_budgets_hold_per_call_at_any_thread_count(threads):
+def test_budgets_hold_per_call_at_any_thread_count(monkeypatch, threads):
     # every subtree draws from one allowance and one deadline, and a node
-    # counts only once granted, so no worker count overdraws the budget
-    by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
-    by_time = max_free_exact(7, 2, 7, threads=threads, time_budget=0.5)
-    assert not by_nodes.optimal and not by_time.optimal
-    assert by_nodes.nodes <= 20_000
-    assert by_time.elapsed < 1.5
+    # counts only once granted, so no worker count overdraws the budget:
+    # with every subtree forked (cutoff 0), with a handover after 5,000
+    # nodes, and with the default cutoff, above the node budget
+    for cutoff in (0, 5_000, search._INLINE_NODES):
+        monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
+        by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
+        by_time = max_free_exact(7, 2, 7, threads=threads, time_budget=0.5)
+        assert not by_nodes.optimal and not by_time.optimal
+        assert by_nodes.nodes <= 20_000
+        assert by_time.elapsed < 1.5
 
 
 def test_config_validation():
@@ -524,20 +528,24 @@ def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
         assert live_state(eng) == root
 
 
-def test_prune_counts_sum_over_workers():
-    # a split search reports the sums of its subtrees' counts, line updates too
+def test_prune_counts_sum_over_workers(monkeypatch):
+    # a split search reports the sums of its subtrees' counts, line updates
+    # too, whether its subtrees run on forked workers (cutoff 0) or in the
+    # calling process
     cfg = SearchConfig(fix_translation=True)
     ws = search._WindowSystem(5, 2, 4)
     budget = search._Budget(cfg.node_budget, None)
     prefixes = search._root_prefixes(ws, cfg, 2)
     subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
-    split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
     sums = tuple(map(sum, zip(*(o[3] for o in subtrees))))
-    counts = (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes, split.line_updates)
-    assert counts == sums
-    assert split.bound_prunes > 0 and split.frame_prunes > 0
-    unframed = max_free_exact(5, 2, 4, threads=2)
-    assert unframed.frame_prunes == unframed.orbit_prunes == 0
+    for cutoff in (0, search._INLINE_NODES):
+        monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
+        split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
+        counts = (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes, split.line_updates)
+        assert counts == sums
+        assert split.bound_prunes > 0 and split.frame_prunes > 0
+        unframed = max_free_exact(5, 2, 4, threads=2)
+        assert unframed.frame_prunes == unframed.orbit_prunes == 0
 
 
 def _plane_lines(p: int) -> np.ndarray:
@@ -655,7 +663,9 @@ def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, lea
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_keeps_no_tables_after_it_returns(monkeypatch, threads):
-    # each call builds its own tables, and nothing holds them once it returns
+    # each call builds its own tables, and nothing holds them once it
+    # returns; at 2 workers every subtree is forked (cutoff 0)
+    monkeypatch.setattr(search, "_INLINE_NODES", 0)
     built = []
 
     class Recorded(search._WindowSystem):
@@ -704,7 +714,8 @@ def test_import_leaves_multiprocessing_out():
 def test_handover_to_workers_keeps_every_count(monkeypatch):
     # the same subtrees, whether all forked, handed over after the first
     # few or the last few (37,386 nodes pass the default cutoff), or all
-    # searched in the calling process
+    # searched in the calling process; the subtree a handover cuts short
+    # is searched again, whole, on a worker
     runs = {}
     for cutoff in (0, 300, search._INLINE_NODES, 10**9):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
@@ -716,9 +727,14 @@ def test_handover_to_workers_keeps_every_count(monkeypatch):
     assert (size, nodes) == (11, 37_386)
 
 
-def test_node_budget_holds_across_the_handover(monkeypatch):
-    # the first two subtrees take 175 + 483 nodes in the calling process,
-    # and the workers draw the rest of the 2,000 from a shared budget
+@pytest.mark.parametrize(
+    "threads, budget, inline_nodes", [(2, 2_000, [175, 325]), (4, 20_000, [77, 97, 195, 131])]
+)
+def test_node_budget_holds_across_the_handover(monkeypatch, threads, budget, inline_nodes):
+    # the calling process spends exactly the 500-node cutoff: at 2 workers
+    # the first subtree takes 175 nodes, and the second, of 483, is cut at
+    # 325 and left to the workers, which draw the rest of the budget from
+    # a shared allowance (at 20,000, in several grants over 4 workers)
     monkeypatch.setattr(search, "_INLINE_NODES", 500)
     inline = []  # nodes of the subtrees searched in this process; a worker's calls stay in the worker
     search_tree = search._run_tree
@@ -729,9 +745,9 @@ def test_node_budget_holds_across_the_handover(monkeypatch):
         return out
 
     monkeypatch.setattr(search, "_run_tree", run_tree)
-    r = max_free_exact(5, 2, 4, threads=2, node_budget=2_000)
-    assert inline == [175, 483]
-    assert sum(inline) < r.nodes <= 2_000 and not r.optimal
+    r = max_free_exact(5, 2, 4, threads=threads, node_budget=budget)
+    assert inline == inline_nodes
+    assert 175 < r.nodes <= budget and not r.optimal
 
 
 # --- heuristic mode ---------------------------------------------------------------
