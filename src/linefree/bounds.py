@@ -1,5 +1,12 @@
 """Closed-form and computed bounds on the maximum size of k-progression-free sets.
 
+Lower bounds come from one catalogue: catalogue(p, n) lists the named
+constructions that apply at (p, n) (hypercube, layered, sqrt, qr and the
+bundled 70-point set), each with its report key, best_lower label,
+closed-form size, note and builder.  Reports, best_lower and the size
+functions all read it; one pass over dimensions finds both the best
+bound and the best product of two smaller dimensions.
+
 All integer bounds are exact.  Bounds involving square roots are carried
 as integer triples (a - sqrt(radicand)) / den and rendered with directed
 rounding: upper bounds round up, lower-bound rates round down, so every
@@ -8,11 +15,13 @@ printed digit string is itself a valid bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .geometry import require_odd_prime
+from . import constructions as cons
+from .geometry import require_k, require_odd_prime
+from .pointset import PointSet
 
 
 def _milli_str(milli: int) -> str:
@@ -110,8 +119,7 @@ def upper_recursive(p: int, n: int, k: int, r: int) -> RecursiveBound:
     require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got {k}")
+    require_k(p, k)
     pn = p**n
     if not 0 <= r <= pn:
         raise ValueError(f"r must be in [0, p^n] = [0, {pn}], got {r}")
@@ -141,29 +149,27 @@ class CubicBound:
     exact: RecursiveBound
 
     @property
+    def simplified(self) -> RootExpression:
+        p = self.p
+        return RootExpression(p**3 - 2 * p**2 + p + 2, 2 * p**2, 1)
+
+    @property
     def simplified_scaled_floor(self) -> int:
-        # value = C - p*sqrt(2) with C = p^3 - 2p^2 + p + 2, at scale 1000
-        scale = 1000
-        c = self.p**3 - 2 * self.p**2 + self.p + 2
-        s = isqrt(2 * (self.p * scale) ** 2)  # floor(scale * p * sqrt(2)), never exact
-        return c * scale - s - 1
+        return self.simplified.scaled_floor(1000)[0]
 
     @property
     def simplified_decimal_up(self) -> str:
-        # sqrt(2) is irrational so the scaled value is never an integer
-        return _milli_str(self.simplified_scaled_floor + 1)
+        return self.simplified.decimal_up(3)
 
     @property
     def simplified_floor(self) -> int:
-        return self.simplified_scaled_floor // 1000
+        return self.simplified.floor
 
     def exact_below_simplified(self) -> bool:
         """Check exact <= simplified via non-overlapping scaled brackets."""
         scale = 1 << 61
         ex_hi = self.exact.expr.scaled_floor(scale)[0] + 1
-        c = self.p**3 - 2 * self.p**2 + self.p + 2
-        simp_lo = c * scale - isqrt(2 * (self.p * scale) ** 2) - 1
-        return ex_hi <= simp_lo
+        return ex_hi <= self.simplified.scaled_floor(scale)[0]
 
 
 def upper_cubic(p: int) -> CubicBound:
@@ -175,34 +181,69 @@ def upper_cubic(p: int) -> CubicBound:
     return CubicBound(p=p, exact=exact)
 
 
+class Construction(NamedTuple):
+    key: str  # name in a report's lower bounds
+    label: str  # name in best_lower
+    size: int  # closed form
+    note: str
+    build: Callable[[], PointSet]
+
+
+def catalogue(p: int, n: int) -> list[Construction]:
+    """The named constructions that apply at (p, n), in tie order."""
+    cube = (p - 1) ** n
+    out = [
+        Construction(
+            "hypercube", f"hypercube({p},{n})", cube, f"(p-1)^{n}", lambda: cons.hypercube(p, n)
+        )
+    ]
+    if n >= 3:
+        out.append(Construction(
+            "layered", f"layered({p},{n})", cube + (n - 2) * (p - 1) * (p - 2) ** (n - 3) // 2,
+            f"(p-1)^{n} + ({n}-2)/2*(p-1)*(p-2)^{n - 3}", lambda: cons.layered(p, n),
+        ))
+    if n == 3 and p >= 5:
+        r = isqrt(p)
+        out.append(Construction(
+            "sqrt", f"sqrt({p})", (p - 2) * (p - 1) ** 2 + p * p - p + 1 - r - p // r,
+            f"(p-2)(p-1)^2 + p^2 - p + 1 - {r} - {p // r}", lambda: cons.sqrt_construction(p),
+        ))
+    if n == 3 and p % 24 == 7:
+        # at p = 7 two removal families coincide, leaving 9 points over (p-1)^3
+        out.append(Construction(
+            "qr", f"qr({p})", 225 if p == 7 else cube + p - 1,
+            "(p-1)^3 + (p-1)" + (" + (p-1)/2, coinciding removals" if p == 7 else ""),
+            lambda: cons.qr_construction(p),
+        ))
+    if (p, n) == (5, 3):
+        out.append(Construction(
+            "reference-set", "fig70", 70, "bundled 70-point set",
+            lambda: cons.load_reference_set("fig70"),
+        ))
+    return out
+
+
+def _size(key: str, p: int, n: int) -> int:
+    for c in catalogue(p, n):
+        if c.key == key:
+            return c.size
+    raise ValueError(f"the {key} construction does not apply at p={p}, n={n}")
+
+
 def hypercube_size(p: int, n: int) -> int:
-    return (p - 1) ** n
+    return _size("hypercube", p, n)
 
 
 def layered_size(p: int, n: int) -> int:
-    if n < 3:
-        raise ValueError("layered sizes need n >= 3")
-    return (p - 1) ** n + (n - 2) * (p - 1) * (p - 2) ** (n - 3) // 2
+    return _size("layered", p, n)
 
 
 def sqrt_size(p: int) -> int:
-    k = isqrt(p)
-    t = p // k
-    return (p - 2) * (p - 1) ** 2 + p * p - p + 1 - k - t
+    return _size("sqrt", p, 3)
 
 
 def qr_size(p: int) -> int:
-    """Size of the quadratic-residue set: (p-1)^3 + (p-1), except p = 7
-    where two removal families coincide and the set is 9 points larger
-    than (p-1)^3."""
-    if p % 24 != 7:
-        raise ValueError("needs p = 7 (mod 24)")
-    if p == 7:
-        return 225
-    return (p - 1) ** 3 + (p - 1)
-
-
-REFERENCE_SIZES = {("fig70", 5, 3): 70}
+    return _size("qr", p, 3)
 
 
 @dataclass(frozen=True)
@@ -220,109 +261,51 @@ def lower_closed_forms(p: int, n: int) -> dict[str, LowerEntry]:
     """Construction-backed lower bounds applicable at (p, n).
 
     Sets are materialized and measured when p^n is small enough;
-    otherwise the closed-form size is reported with backed=False.
+    otherwise the closed-form size is reported with backed=False.  The
+    best product of two smaller dimensions is reported for n >= 2, even
+    when it loses.
     """
     require_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     out: dict[str, LowerEntry] = {}
     small = p**n <= _MATERIALIZE_CAP
-
-    def backed_size(builder, formula: int, name: str, note: str) -> LowerEntry:
-        if small:
-            s = builder()
-            if s.size != formula:
-                raise AssertionError(
-                    f"{name} size {s.size} differs from closed form {formula}"
-                )
-            return LowerEntry(name, s.size, note, True)
-        return LowerEntry(name, formula, note + " (closed form; set not materialized)", False)
-
-    from . import constructions as cons  # local import to keep layering one-way
-
-    out["hypercube"] = backed_size(
-        lambda: cons.hypercube(p, n), hypercube_size(p, n), "hypercube", f"(p-1)^{n}"
-    )
-    if n >= 3:
-        out["layered"] = backed_size(
-            lambda: cons.layered(p, n),
-            layered_size(p, n),
-            "layered",
-            f"(p-1)^{n} + ({n}-2)/2*(p-1)*(p-2)^{n - 3}",
-        )
-    if n == 3 and p >= 5:
-        k, t = isqrt(p), p // isqrt(p)
-        out["sqrt"] = backed_size(
-            lambda: cons.sqrt_construction(p),
-            sqrt_size(p),
-            "sqrt",
-            f"(p-2)(p-1)^2 + p^2 - p + 1 - {k} - {t}",
-        )
-    if n == 3 and p % 24 == 7:
-        out["qr"] = backed_size(
-            lambda: cons.qr_construction(p),
-            qr_size(p),
-            "qr",
-            "(p-1)^3 + (p-1)" + (" + (p-1)/2, coinciding removals" if p == 7 else ""),
-        )
-    if (p, n) == (5, 3):
-        ref = cons.load_reference_set("fig70")
-        out["reference-set"] = LowerEntry(
-            "reference-set", ref.size, "bundled 70-point set", True
-        )
-    if n >= 2:
-        size, note = _best_product_split(p, n)
-        if size is not None:
-            out["product"] = LowerEntry("product", size, note, False)
+    for c in catalogue(p, n):
+        if not small:
+            note = c.note + " (closed form; set not materialized)"
+            out[c.key] = LowerEntry(c.key, c.size, note, False)
+            continue
+        size = c.build().size
+        if size != c.size:
+            raise AssertionError(f"{c.key} size {size} differs from closed form {c.size}")
+        out[c.key] = LowerEntry(c.key, size, c.note, True)
+    product = _best_lowers(p, n)[1]
+    if product is not None:
+        out["product"] = LowerEntry("product", *product, False)
     return out
 
 
-def _best_single(p: int, n: int) -> tuple[int, str]:
-    best, name = hypercube_size(p, n), f"hypercube({p},{n})"
-    if n >= 3:
-        s = layered_size(p, n)
-        if s > best:
-            best, name = s, f"layered({p},{n})"
-    if n == 3 and p >= 5:
-        s = sqrt_size(p)
-        if s > best:
-            best, name = s, f"sqrt({p})"
-    if n == 3 and p % 24 == 7:
-        s = qr_size(p)
-        if s > best:
-            best, name = s, f"qr({p})"
-    if (p, n) == (5, 3):
-        s = REFERENCE_SIZES[("fig70", 5, 3)]
-        if s > best:
-            best, name = s, "fig70"
-    return best, name
+def _best_lowers(p: int, n: int) -> tuple[tuple[int, str], tuple[int, str] | None]:
+    """(best lower bound at n, best product of two smaller dimensions or None).
+
+    Ties go to the earlier catalogue entry, then to the single set, then
+    to the smaller first factor.
+    """
+    best: dict[int, tuple[int, str]] = {}
+    for m in range(1, n + 1):
+        product = None
+        for m1 in range(1, m // 2 + 1):
+            s = best[m1][0] * best[m - m1][0]
+            if product is None or s > product[0]:
+                product = (s, f"{best[m1][1]} x {best[m - m1][1]}")
+        single = max(((c.size, c.label) for c in catalogue(p, m)), key=lambda e: e[0])
+        best[m] = product if product is not None and product[0] > single[0] else single
+    return best[n], product
 
 
 def best_lower(p: int, n: int) -> tuple[int, str]:
     """Best known lower bound, allowing products of smaller-dimension sets."""
-    best: dict[int, tuple[int, str]] = {}
-    for m in range(1, n + 1):
-        b, name = _best_single(p, m)
-        for m1 in range(1, m // 2 + 1):
-            s = best[m1][0] * best[m - m1][0]
-            if s > b:
-                b, name = s, f"{best[m1][1]} x {best[m - m1][1]}"
-        best[m] = (b, name)
-    return best[n]
-
-
-def _best_product_split(p: int, n: int) -> tuple[int | None, str]:
-    """Best product of strictly smaller-dimension sets, if it beats nothing
-    it is still reported for transparency; None when n < 2."""
-    if n < 2:
-        return None, ""
-    best_val, best_note = None, ""
-    for m1 in range(1, n // 2 + 1):
-        a, na = best_lower(p, m1)
-        b, nb = best_lower(p, n - m1)
-        if best_val is None or a * b > best_val:
-            best_val, best_note = a * b, f"{na} x {nb}"
-    return best_val, best_note
+    return _best_lowers(p, n)[0]
 
 
 @dataclass(frozen=True)
@@ -512,8 +495,7 @@ def bounds_report(
         raise ValueError("n must be >= 1")
     if k is None:
         k = p
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got {k}")
+    require_k(p, k)
 
     notes: list[str] = []
     upper: dict[str, int] = {}

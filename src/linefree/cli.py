@@ -81,6 +81,15 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _emit_grid(args, text: str, payload: dict) -> None:
+    """Write the grid to -o or stdout; with --json, stdout gets the payload instead."""
+    if args.json:
+        _emit_json({**payload, "output": args.output})
+        if args.output is None:
+            return
+    _write_text(args.output, text)
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -105,22 +114,8 @@ def _build_family(family: str, p: int, n: int | None) -> PointSet:
 
 def cmd_construct(args) -> int:
     s = _build_family(args.family, args.p, args.n)
-    text = render_grid(s, s.space.p)
-    if args.json:
-        _emit_json(
-            {
-                "command": "construct",
-                "family": args.family,
-                "p": s.space.p,
-                "n": s.space.n,
-                "size": s.size,
-                "output": args.output,
-            }
-        )
-        if args.output is not None:
-            _write_text(args.output, text)
-    else:
-        _write_text(args.output, text)
+    payload = {"command": "construct", "family": args.family, "p": s.space.p, "n": s.space.n}
+    _emit_grid(args, render_grid(s, s.space.p), {**payload, "size": s.size})
     return EXIT_OK
 
 
@@ -337,22 +332,8 @@ def cmd_product(args) -> int:
     # m = max(kA, kB) would project, along whichever coordinate block has
     # a nonzero step, to a progression of at least that factor's length.
     k = max(da.k, db.k)
-    text = render_grid(prod, k)
-    if args.json:
-        _emit_json(
-            {
-                "command": "product",
-                "p": prod.space.p,
-                "n": prod.space.n,
-                "k": k,
-                "size": prod.size,
-                "output": args.output,
-            }
-        )
-        if args.output is not None:
-            _write_text(args.output, text)
-    else:
-        _write_text(args.output, text)
+    payload = {"command": "product", "p": prod.space.p, "n": prod.space.n, "k": k}
+    _emit_grid(args, render_grid(prod, k), {**payload, "size": prod.size})
     return EXIT_OK
 
 
@@ -504,10 +485,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise _UsageError(f"missing required flags: {', '.join(missing)}")
+_REQUIRED = {
+    "construct": ("family", "p"),
+    "verify": ("k", "file"),
+    "search": ("p", "n", "k"),
+    "bounds": ("p", "n"),
+    "certify": ("p", "target"),
+    "product": ("a", "b"),
+    "render": ("file",),
+}
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -521,20 +507,9 @@ def dispatch(argv: list[str] | None = None) -> int:
             _SELFTESTS[args.command]()
             sys.stdout.write(f"selftest {args.command}: ok\n")
             return EXIT_OK
-        if args.command == "construct":
-            _require(args, ["family", "p"])
-        elif args.command == "verify":
-            _require(args, ["k", "file"])
-        elif args.command == "search":
-            _require(args, ["p", "n", "k"])
-        elif args.command == "bounds":
-            _require(args, ["p", "n"])
-        elif args.command == "certify":
-            _require(args, ["p", "target"])
-        elif args.command == "product":
-            _require(args, ["a", "b"])
-        elif args.command == "render":
-            _require(args, ["file"])
+        missing = [n for n in _REQUIRED.get(args.command, ()) if getattr(args, n) is None]
+        if missing:
+            raise _UsageError(f"missing required flags: {', '.join(missing)}")
         return _HANDLERS[args.command](args)
     except _UsageError as e:
         sys.stderr.write(f"linefree {args.command}: {e}\n")

@@ -45,6 +45,12 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def require_k(p: int, k: int) -> None:
+    """k-term progressions in F_p^n are defined for 3 <= k <= p."""
+    if not 3 <= k <= p:
+        raise ValueError(f"k must be in [3, p], got {k}")
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """The ambient space F_p^n."""

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import SpaceSpec, det_mod, point_index, space_tables
+from .geometry import SpaceSpec, det_mod, point_index, require_k, space_tables
 
 GRID_MAGIC = "linefree-grid v1"
 
@@ -195,8 +195,7 @@ def render_grid(s: PointSet, k: int | None = None) -> str:
         raise ValueError("the grid format needs n >= 2")
     if k is None:
         k = p
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got {k}")
+    require_k(p, k)
     out = [f"{GRID_MAGIC}\np={p} n={n} k={k}\n"]
     for tag, block in grid_blocks(s):
         chars = np.full((p, p + 1), ord("\n"), dtype=np.uint8)
@@ -243,12 +242,11 @@ def parse_grid_document(text: str) -> GridDocument:
     p, n, k = fields["p"], fields["n"], fields["k"]
     try:
         space = SpaceSpec(p, n)
+        if n < 2:
+            raise ValueError("the grid format needs n >= 2")
+        require_k(p, k)
     except ValueError as exc:
         raise GridFormatError(str(exc), no) from exc
-    if n < 2:
-        raise GridFormatError("the grid format needs n >= 2", no)
-    if not 3 <= k <= p:
-        raise GridFormatError(f"k must be in [3, p], got {k}", no)
 
     bits = np.zeros(space.num_points, dtype=np.bool_)
     # a writable view indexed (c_1, ..., c_n), as in grid_blocks

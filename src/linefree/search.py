@@ -24,7 +24,8 @@ from itertools import compress
 
 import numpy as np
 
-from .geometry import ResourceBudgetError, SpaceSpec, space_tables
+from .constructions import box
+from .geometry import ResourceBudgetError, SpaceSpec, require_k, space_tables
 from .pointset import PointSet
 from .verifier import find_progression
 
@@ -212,8 +213,7 @@ def _line_capped(p: int, k: int) -> bool:
 
 def _table_entries(p: int, n: int, k: int) -> int:
     """Entries of the line and window tables of (p, n, k), within TABLE_BUDGET."""
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got {k}")
+    require_k(p, k)
     window_entries = 0 if _line_capped(p, k) else len(_window_rowsets(p, k)) * k
     entries = SpaceSpec(p, n).num_lines * (p + window_entries)
     if entries > TABLE_BUDGET:
@@ -633,12 +633,6 @@ class _Engine:
         return True
 
 
-def _box_indices(p: int, n: int, side: int) -> tuple[int, ...]:
-    t = space_tables(p, n)
-    sel = np.nonzero((t.coords < side).all(axis=1))[0]
-    return tuple(int(i) for i in sel)
-
-
 def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], ...]:
     """Decisions every search starts from: the fix_translation frame, if set.
 
@@ -807,11 +801,11 @@ def max_free_exact(
             raise ValueError("warm start lives in a different space")
         if find_progression(cfg.warm, k) is not None:
             raise ValueError("warm start contains a k-term progression")
-        warm_idx = tuple(int(i) for i in np.nonzero(cfg.warm.bits)[0])
+        warm = cfg.warm
     else:
-        warm_idx = _box_indices(p, n, k - 1)
-    best_size = len(warm_idx)
-    best_set = warm_idx
+        warm = box(p, n, k - 1)
+    best_set = tuple(warm.indices().tolist())
+    best_size = len(best_set)
 
     workers = cfg.threads or 1
     if workers > 1:
@@ -889,8 +883,7 @@ def brute_force_oracle(p: int, n: int, k: int) -> int:
     num = space.num_points
     if num > 20:
         raise ValueError(f"space has {num} points; the oracle handles at most 20")
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got {k}")
+    require_k(p, k)
     t = space_tables(p, n)
     rowsets = _window_rowsets(p, k)
     masks_w: set[int] = set()

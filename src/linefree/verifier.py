@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SpaceSpec, canonical_direction, index_point, space_tables
+from .geometry import SpaceSpec, canonical_direction, index_point, require_k, space_tables
 from .pointset import PointSet
 
 _BLOCK = 2**17  # entries held per block of directions
@@ -74,8 +74,7 @@ def find_progression(s: PointSet, k: int | None = None) -> ProgressionWitness | 
     p, num = space.p, space.num_points
     if k is None:
         k = p
-    if not 3 <= k <= p:
-        raise ValueError(f"k must be in [3, p], got k={k} for p={p}")
+    require_k(p, k)
     t = space_tables(space.p, space.n)
     best = num * num  # base index * num + step index; above every witness
     if k == p:

@@ -295,6 +295,36 @@ def test_bounds_reports_are_pinned_for_every_k(p, n):
     assert got == REPORT_PINS[(p, n)]
 
 
+# sha256 of json.dumps(bounds_report(p, n).to_dict(), sort_keys=True) at k = p:
+# sqrt ties layered at p = 11 and 13, qr leads at 31, (17, 5) is closed-form only
+CATALOGUE_PINS = {
+    (11, 3): ("b12df0ffb9045c466a47187d418c56e4fb1f7ae936e4851a1ad6b081fa47fc8c", (1005, "layered(11,3)")),
+    (13, 3): ("61fd3eea3c0dc572ff10ad0dc518b8c2f51f2eac10eed8c6b8ddb17336cc89de", (1734, "layered(13,3)")),
+    (31, 3): ("152d3ed0fa29f55755ee3ebfde0a5b36d301701bd8f47526af34ebce25d61162", (27030, "qr(31)")),
+    (17, 5): ("6dc89456db00487563a857ec6d6345edc064f0379ba2df4783fa6d9c3cb364d4", (1053976, "layered(17,5)")),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(CATALOGUE_PINS))
+def test_catalogue_reports_and_best_lower_are_pinned(p, n):
+    digest, best = CATALOGUE_PINS[(p, n)]
+    doc = bounds_report(p, n).to_dict()
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+    assert best_lower(p, n) == best
+
+
+def test_cubic_simplified_bound_is_pinned_for_every_prime_below_2000():
+    from linefree.geometry import is_prime
+
+    rows = []
+    for p in filter(is_prime, range(3, 2000)):
+        cb = upper_cubic(p)
+        rows.append([p, cb.simplified_decimal_up, cb.simplified_floor, cb.exact_below_simplified()])
+    assert len(rows) == 302
+    got = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert got == "1df5c345f7e669b19687d72c612009a00706cd98549a72b66ca13fac69d96f22"
+
+
 def test_bounds_report_validation():
     with pytest.raises(ValueError):
         bounds_report(6, 2)

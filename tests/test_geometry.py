@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linefree.bounds import alpha_fgr, upper_simple
+from linefree.bounds import alpha_fgr, bounds_report, upper_recursive, upper_simple
+from linefree.cli import EXIT_USAGE, dispatch
 from linefree.constructions import box, quadratic_residues
 from linefree.geometry import (
     SpaceSpec,
@@ -15,8 +16,12 @@ from linefree.geometry import (
     index_point,
     is_prime,
     point_index,
+    require_k,
     space_tables,
 )
+from linefree.pointset import GridFormatError, parse_grid_document, render_grid
+from linefree.search import brute_force_oracle, max_free_exact
+from linefree.verifier import find_progression
 
 
 def oracle_line_indices(space: SpaceSpec, a: tuple[int, ...], b: tuple[int, ...]) -> frozenset:
@@ -152,3 +157,35 @@ def test_every_module_rejects_a_non_odd_prime_alike(p):
     for call in calls:
         with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
             call()
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_every_entry_point_rejects_k_outside_3_to_p_alike(k, tmp_path, capsys):
+    p = 3
+    want = f"k must be in [3, p], got {k}"
+    s = box(p, 2, 2)
+    for call in (
+        lambda: require_k(p, k),
+        lambda: find_progression(s, k),
+        lambda: render_grid(s, k),
+        lambda: max_free_exact(p, 2, k),
+        lambda: brute_force_oracle(p, 2, k),
+        lambda: upper_recursive(p, 2, k, 4),
+        lambda: bounds_report(p, 2, k),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == want
+    with pytest.raises(GridFormatError) as exc:
+        parse_grid_document(render_grid(s).replace(f"k={p}", f"k={k}"))
+    assert str(exc.value) == f"line 2: {want}"
+
+    grid = tmp_path / "s.grid"
+    grid.write_text(render_grid(s))
+    for argv in (
+        ["verify", "-k", str(k), str(grid)],
+        ["search", "-p", str(p), "-n", "2", "-k", str(k)],
+        ["bounds", "-p", str(p), "-n", "2", "-k", str(k)],
+    ):
+        assert dispatch(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"linefree {argv[0]}: {want}\n"
