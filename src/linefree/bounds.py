@@ -3,9 +3,10 @@
 Lower bounds come from one catalogue: catalogue(p, n) lists the named
 constructions that apply at (p, n) (hypercube, layered, sqrt, qr and the
 bundled 70-point set), each with its report key, best_lower label,
-closed-form size, note and builder.  Reports, best_lower and the size
-functions all read it; one pass over dimensions finds both the best
-bound and the best product of two smaller dimensions.
+closed-form size, note and builder.  Reports and best_lower read it;
+construction(family, p, n) finds one entry by name for the size
+functions and `linefree construct`.  One pass over dimensions finds both
+the best bound and the best product of two smaller dimensions.
 
 All integer bounds are exact.  Bounds involving square roots are carried
 as integer triples (a - sqrt(radicand)) / den and rendered with directed
@@ -20,8 +21,10 @@ from math import comb, isqrt
 from typing import Callable, NamedTuple
 
 from . import constructions as cons
-from .geometry import require_k, require_odd_prime
+from .certify import DEFAULT_SUBPLANE_TABLE, INFEASIBLE, make_instance, prove_infeasible
+from .geometry import require_k, require_odd_prime, require_space
 from .pointset import PointSet
+from .search import one_dim_cap
 
 
 def _milli_str(milli: int) -> str:
@@ -77,9 +80,7 @@ def upper_simple(p: int, n: int) -> SimpleBounds:
     set has (p^n - 1)/(p - 1) points.  sziklai: a stronger blocking-set
     bound, p^n - 2p^(n-1) + 1.
     """
-    require_odd_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_space(p, n)
     pn = p**n
     return SimpleBounds(pn - (pn - 1) // (p - 1), pn - 2 * p ** (n - 1) + 1)
 
@@ -116,9 +117,7 @@ class RecursiveBound:
 
 def upper_recursive(p: int, n: int, k: int, r: int) -> RecursiveBound:
     """Bound r_k(F_p^(n+1)) given r_k(F_p^n) <= r."""
-    require_odd_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_space(p, n)
     require_k(p, k)
     pn = p**n
     if not 0 <= r <= pn:
@@ -152,10 +151,6 @@ class CubicBound:
     def simplified(self) -> RootExpression:
         p = self.p
         return RootExpression(p**3 - 2 * p**2 + p + 2, 2 * p**2, 1)
-
-    @property
-    def simplified_scaled_floor(self) -> int:
-        return self.simplified.scaled_floor(1000)[0]
 
     @property
     def simplified_decimal_up(self) -> str:
@@ -223,27 +218,29 @@ def catalogue(p: int, n: int) -> list[Construction]:
     return out
 
 
-def _size(key: str, p: int, n: int) -> int:
+def construction(family: str, p: int, n: int) -> Construction:
+    """The catalogue entry whose label, up to its first parenthesis, is family."""
+    require_odd_prime(p)
     for c in catalogue(p, n):
-        if c.key == key:
-            return c.size
-    raise ValueError(f"the {key} construction does not apply at p={p}, n={n}")
+        if c.label.partition("(")[0] == family:
+            return c
+    raise ValueError(f"the {family} construction does not apply at p={p}, n={n}")
 
 
 def hypercube_size(p: int, n: int) -> int:
-    return _size("hypercube", p, n)
+    return construction("hypercube", p, n).size
 
 
 def layered_size(p: int, n: int) -> int:
-    return _size("layered", p, n)
+    return construction("layered", p, n).size
 
 
 def sqrt_size(p: int) -> int:
-    return _size("sqrt", p, 3)
+    return construction("sqrt", p, 3).size
 
 
 def qr_size(p: int) -> int:
-    return _size("qr", p, 3)
+    return construction("qr", p, 3).size
 
 
 @dataclass(frozen=True)
@@ -265,9 +262,7 @@ def lower_closed_forms(p: int, n: int) -> dict[str, LowerEntry]:
     best product of two smaller dimensions is reported for n >= 2, even
     when it loses.
     """
-    require_odd_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_space(p, n)
     out: dict[str, LowerEntry] = {}
     small = p**n <= _MATERIALIZE_CAP
     for c in catalogue(p, n):
@@ -426,15 +421,13 @@ def certified_upper(p: int, start: int, *, max_steps: int = 3) -> CertifiedResul
     first UNKNOWN or after max_steps attempts, each at the certificate
     engine's default budget.  Deterministic for fixed arguments.
     """
-    from . import certify as ct  # deferred: certify imports verifier only
-
     trace: list[tuple[int, str]] = []
     value: int | None = None
     t = start
     for _ in range(max_steps):
-        cert = ct.prove_infeasible(ct.make_instance(p, t))
+        cert = prove_infeasible(make_instance(p, t))
         trace.append((t, cert.verdict))
-        if cert.verdict != ct.INFEASIBLE:
+        if cert.verdict != INFEASIBLE:
             break
         value = t - 1
         t -= 1
@@ -490,9 +483,7 @@ def bounds_report(
     chain starts from the exact plane value (p-1)^2 for k = p and from the
     exact one-dimensional value for k < p.
     """
-    require_odd_prime(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_space(p, n)
     if k is None:
         k = p
     require_k(p, k)
@@ -511,8 +502,6 @@ def bounds_report(
             upper["exact"] = r
             notes.append("r_p of the plane is exactly (p-1)^2")
     else:
-        from .search import one_dim_cap
-
         dim, r = 1, one_dim_cap(p, k)
         chain_note = f"recursive chain from exact 1-d value r_{k} = {r}"
         lower = {"box": LowerEntry("box", (k - 1) ** n, f"(k-1)^{n}", False)}
@@ -541,9 +530,7 @@ def bounds_report(
             upper_real["cubic"] = cb.exact.decimal_up
             upper_real["cubic_simplified"] = cb.simplified_decimal_up
         if include_certified and n == 3:
-            from . import certify as ct
-
-            if p in ct.DEFAULT_SUBPLANE_TABLE:
+            if p in DEFAULT_SUBPLANE_TABLE:
                 res = certified_upper(p, min(upper.values()), max_steps=2)
                 for t, verdict in res.trace:
                     notes.append(f"certify target {t}: {verdict}")

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 One binary, eight subcommands: construct, verify, search, bounds,
-certify, rate, product, render.  Default output is deterministic
-aligned text (byte-identical across identical invocations); --json
-emits the module's JSON schema; --timing opts into wall-clock fields.
+certify, rate, product, render.  build_parser declares each one once:
+its flags, its handler, its selftest and its required flags.  Default
+output is deterministic aligned text (byte-identical across identical
+invocations); --json, on every subcommand but render, emits the
+module's JSON schema; --timing, on search only, opts into wall-clock
+fields.
 
 Exit codes: 0 success/verified/optimal; 1 a progression was found;
 2 usage error or a request over a memory budget; 3 certificate verdict
@@ -19,16 +22,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import alpha_from_set, alpha_fgr, bounds_report, upper_recursive, upper_simple
-from .certify import INFEASIBLE, UNKNOWN, make_instance, prove_infeasible
-from .constructions import (
-    box,
-    hypercube,
-    layered,
-    load_reference_set,
-    qr_construction,
-    sqrt_construction,
+from .bounds import (
+    alpha_from_set,
+    alpha_fgr,
+    bounds_report,
+    construction,
+    upper_recursive,
+    upper_simple,
 )
+from .certify import INFEASIBLE, make_instance, prove_infeasible
+from .constructions import box, hypercube
 from .geometry import ResourceBudgetError, SpaceSpec
 from .pointset import (
     GridFormatError,
@@ -53,10 +56,6 @@ _STAMP = f"# linefree {__version__}"
 _FAMILIES = ("hypercube", "layered", "sqrt", "qr", "fig70")
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _emit_json(payload: dict) -> None:
     doc = {"version": __version__, "schema": SCHEMA}
     doc.update(payload)
@@ -68,9 +67,9 @@ def _read_grid(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return parse_grid_document(fh.read())
     except OSError as e:
-        raise _UsageError(f"cannot read {path}: {e.strerror}") from e
+        raise ValueError(f"cannot read {path}: {e.strerror}") from e
     except GridFormatError as e:
-        raise _UsageError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -94,26 +93,8 @@ def _emit_grid(args, text: str, payload: dict) -> None:
 # construct
 
 
-def _build_family(family: str, p: int, n: int | None) -> PointSet:
-    if family == "hypercube":
-        return hypercube(p, 3 if n is None else n)
-    if family == "layered":
-        return layered(p, 3 if n is None else n)
-    if family in ("sqrt", "qr", "fig70") and n not in (None, 3):
-        raise _UsageError(f"family {family} is three-dimensional; drop -n or use -n 3")
-    if family == "sqrt":
-        return sqrt_construction(p)
-    if family == "qr":
-        return qr_construction(p)
-    if family == "fig70":
-        if p != 5:
-            raise _UsageError("family fig70 requires -p 5")
-        return load_reference_set("fig70")
-    raise _UsageError(f"unknown family {family!r}")
-
-
 def cmd_construct(args) -> int:
-    s = _build_family(args.family, args.p, args.n)
+    s = construction(args.family, args.p, 3 if args.n is None else args.n).build()
     payload = {"command": "construct", "family": args.family, "p": s.space.p, "n": s.space.n}
     _emit_grid(args, render_grid(s, s.space.p), {**payload, "size": s.size})
     return EXIT_OK
@@ -130,26 +111,24 @@ def _selftest_construct() -> None:
 
 
 def cmd_verify(args) -> int:
-    doc = _read_grid(args.file)
-    s = doc.pointset
-    k = args.k
-    report = verification_report(s, k)
+    s = _read_grid(args.file).pointset
     if args.json:
+        report = verification_report(s, args.k)
         _emit_json({"command": "verify", "file": args.file, **report})
-    else:
-        out = [
-            _STAMP,
-            f"file: {args.file}",
-            f"p: {report['p']}  n: {report['n']}  k: {k}",
-            f"size: {report['size']}",
-            f"verdict: {'free' if report['free'] else 'progression found'}",
-        ]
-        if not report["free"]:
-            w = report["witness"]
-            out.append(f"witness base: {tuple(w['base'])}")
-            out.append(f"witness step: {tuple(w['dir'])}")
-        sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK if report["free"] else EXIT_PROGRESSION
+        return EXIT_OK if report["free"] else EXIT_PROGRESSION
+    w = find_progression(s, args.k)
+    out = [
+        _STAMP,
+        f"file: {args.file}",
+        f"p: {s.space.p}  n: {s.space.n}  k: {args.k}",
+        f"size: {s.size}",
+        f"verdict: {'free' if w is None else 'progression found'}",
+    ]
+    if w is not None:
+        out.append(f"witness base: {tuple(w.base)}")
+        out.append(f"witness step: {tuple(w.step)}")
+    sys.stdout.write("\n".join(out) + "\n")
+    return EXIT_OK if w is None else EXIT_PROGRESSION
 
 
 def _selftest_verify() -> None:
@@ -170,18 +149,18 @@ def _parse_budget(text: str) -> dict:
         try:
             value = float(text[:-1])
         except ValueError:
-            raise _UsageError(f"bad budget {text!r}") from None
+            raise ValueError(f"bad budget {text!r}") from None
         if value <= 0:
-            raise _UsageError("budget must be positive")
+            raise ValueError("budget must be positive")
         return {"time_budget": value * suffixes[text[-1]]}
     try:
         nodes = int(text)
     except ValueError:
-        raise _UsageError(
+        raise ValueError(
             f"bad budget {text!r}: use an integer node count or a duration like 60s"
         ) from None
     if nodes <= 0:
-        raise _UsageError("budget must be positive")
+        raise ValueError("budget must be positive")
     return {"node_budget": nodes}
 
 
@@ -294,11 +273,11 @@ def _selftest_certify() -> None:
 def cmd_rate(args) -> int:
     if args.fgr:
         if args.p is None:
-            raise _UsageError("--fgr needs -p P")
+            raise ValueError("--fgr needs -p P")
         rate = alpha_fgr(args.p)
     else:
         if args.size is None or args.dim is None:
-            raise _UsageError("rate needs --size S --dim N (or --fgr -p P)")
+            raise ValueError("rate needs --size S --dim N (or --fgr -p P)")
         rate = alpha_from_set(args.size, args.dim)
     if args.json:
         _emit_json(
@@ -390,37 +369,21 @@ def _selftest_render() -> None:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-_SELFTESTS = {
-    "construct": _selftest_construct,
-    "verify": _selftest_verify,
-    "search": _selftest_search,
-    "bounds": _selftest_bounds,
-    "certify": _selftest_certify,
-    "rate": _selftest_rate,
-    "product": _selftest_product,
-    "render": _selftest_render,
-}
 
-_HANDLERS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "search": cmd_search,
-    "bounds": cmd_bounds,
-    "certify": cmd_certify,
-    "rate": cmd_rate,
-    "product": cmd_product,
-    "render": cmd_render,
-}
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sp.add_argument("--timing", action="store_true", help="include wall-clock fields")
+def _subcommand(sub, name: str, help: str, handler, selftest, required=(), takes_json=True):
+    """Declare a subcommand: its handler, selftest and required flags ride on
+    the parsed namespace; --json only where the handler reads it."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(handler=handler, required=required)
+    if takes_json:
+        sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sp.add_argument(
         "--selftest",
-        action="store_true",
+        action="store_const",
+        const=selftest,
         help="run this subcommand's built-in examples and exit",
     )
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,69 +394,74 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"linefree {__version__}")
     sub = ap.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    sp = sub.add_parser("construct", help="build a named family and emit its grid")
+    sp = _subcommand(
+        sub, "construct", "build a named family and emit its grid",
+        cmd_construct, _selftest_construct, ("family", "p"),
+    )
     sp.add_argument("--family", choices=_FAMILIES, default=None)
     sp.add_argument("-p", type=int, default=None)
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-o", "--output", metavar="FILE", default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("verify", help="check a grid file for k-term progressions")
+    sp = _subcommand(
+        sub, "verify", "check a grid file for k-term progressions",
+        cmd_verify, _selftest_verify, ("k", "file"),
+    )
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("file", nargs="?", metavar="FILE")
-    _add_common(sp)
 
-    sp = sub.add_parser("search", help="exact maximum by branch and bound")
+    sp = _subcommand(
+        sub, "search", "exact maximum by branch and bound",
+        cmd_search, _selftest_search, ("p", "n", "k"),
+    )
     sp.add_argument("-p", type=int, default=None)
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-k", type=int, default=None)
     sp.add_argument("--budget", metavar="D", default=None, help="node count or 60s/5m/2h")
     sp.add_argument("--warm", metavar="FILE", default=None, help="grid file incumbent")
     sp.add_argument("--threads", type=int, default=None, metavar="N", help="N worker processes")
-    _add_common(sp)
+    sp.add_argument("--timing", action="store_true", help="include wall-clock fields")
 
-    sp = sub.add_parser("bounds", help="lower/upper bound report")
+    sp = _subcommand(
+        sub, "bounds", "lower/upper bound report", cmd_bounds, _selftest_bounds, ("p", "n")
+    )
     sp.add_argument("-p", type=int, default=None)
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-k", type=int, default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("certify", help="integer-infeasibility certificate for a target size")
+    sp = _subcommand(
+        sub, "certify", "integer-infeasibility certificate for a target size",
+        cmd_certify, _selftest_certify, ("p", "target"),
+    )
     sp.add_argument("-p", type=int, default=None)
     sp.add_argument("--target", type=int, default=None)
     sp.add_argument("--paper-faithful", action="store_true")
-    _add_common(sp)
 
-    sp = sub.add_parser("rate", help="growth-rate lower bound from a set size or the closed form")
+    sp = _subcommand(
+        sub, "rate", "growth-rate lower bound from a set size or the closed form",
+        cmd_rate, _selftest_rate,
+    )
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--fgr", action="store_true")
     sp.add_argument("-p", type=int, default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("product", help="cartesian product of two grid files")
+    sp = _subcommand(
+        sub, "product", "cartesian product of two grid files",
+        cmd_product, _selftest_product, ("a", "b"),
+    )
     sp.add_argument("a", nargs="?", metavar="A.grid")
     sp.add_argument("b", nargs="?", metavar="B.grid")
     sp.add_argument("-o", "--output", metavar="FILE", default=None)
-    _add_common(sp)
 
-    sp = sub.add_parser("render", help="re-emit a grid file (or TikZ with --tikz)")
+    sp = _subcommand(
+        sub, "render", "re-emit a grid file (or TikZ with --tikz)",
+        cmd_render, _selftest_render, ("file",), takes_json=False,
+    )
     sp.add_argument("file", nargs="?", metavar="FILE")
     sp.add_argument("--tikz", action="store_true")
-    _add_common(sp)
 
     return ap
-
-
-_REQUIRED = {
-    "construct": ("family", "p"),
-    "verify": ("k", "file"),
-    "search": ("p", "n", "k"),
-    "bounds": ("p", "n"),
-    "certify": ("p", "target"),
-    "product": ("a", "b"),
-    "render": ("file",),
-}
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -504,17 +472,14 @@ def dispatch(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         if args.selftest:
-            _SELFTESTS[args.command]()
+            args.selftest()
             sys.stdout.write(f"selftest {args.command}: ok\n")
             return EXIT_OK
-        missing = [n for n in _REQUIRED.get(args.command, ()) if getattr(args, n) is None]
+        missing = [n for n in args.required if getattr(args, n) is None]
         if missing:
-            raise _UsageError(f"missing required flags: {', '.join(missing)}")
-        return _HANDLERS[args.command](args)
-    except _UsageError as e:
-        sys.stderr.write(f"linefree {args.command}: {e}\n")
-        return EXIT_USAGE
-    except (ValueError, GridFormatError, ResourceBudgetError) as e:
+            raise ValueError(f"missing required flags: {', '.join(missing)}")
+        return args.handler(args)
+    except (ValueError, ResourceBudgetError) as e:
         sys.stderr.write(f"linefree {args.command}: {e}\n")
         return EXIT_USAGE
 

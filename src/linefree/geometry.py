@@ -45,6 +45,13 @@ def require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def require_space(p: int, n: int) -> None:
+    """F_p^n is defined for an odd prime p and n >= 1."""
+    require_odd_prime(p)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def require_k(p: int, k: int) -> None:
     """k-term progressions in F_p^n are defined for 3 <= k <= p."""
     if not 3 <= k <= p:
@@ -59,9 +66,7 @@ class SpaceSpec:
     n: int
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        require_space(self.p, self.n)
         if self.p**self.n > MAX_POINTS:
             raise ValueError(f"p^n exceeds the {MAX_POINTS} point cap")
 

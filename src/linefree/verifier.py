@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SpaceSpec, canonical_direction, index_point, require_k, space_tables
+from .geometry import SpaceSpec, index_point, require_k, space_tables
 from .pointset import PointSet
 
 _BLOCK = 2**17  # entries held per block of directions
@@ -32,9 +32,6 @@ class ProgressionWitness:
     base: tuple[int, ...]
     step: tuple[int, ...]
     k: int
-
-    def canonical_dir(self, space: SpaceSpec) -> tuple[int, ...]:
-        return canonical_direction(space, self.step)
 
     def points(self, space: SpaceSpec) -> list[tuple[int, ...]]:
         out = []

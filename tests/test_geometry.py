@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linefree.bounds import alpha_fgr, bounds_report, upper_recursive, upper_simple
+from linefree.bounds import (
+    alpha_fgr,
+    bounds_report,
+    lower_closed_forms,
+    upper_recursive,
+    upper_simple,
+)
 from linefree.cli import EXIT_USAGE, dispatch
 from linefree.constructions import box, quadratic_residues
 from linefree.geometry import (
@@ -17,6 +23,7 @@ from linefree.geometry import (
     is_prime,
     point_index,
     require_k,
+    require_space,
     space_tables,
 )
 from linefree.pointset import GridFormatError, parse_grid_document, render_grid
@@ -157,6 +164,24 @@ def test_every_module_rejects_a_non_odd_prime_alike(p):
     for call in calls:
         with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
             call()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_every_space_argument_rejects_n_below_1_alike(n, capsys):
+    want = f"n must be >= 1, got {n}"
+    for call in (
+        lambda: require_space(5, n),
+        lambda: SpaceSpec(5, n),
+        lambda: upper_simple(5, n),
+        lambda: upper_recursive(5, n, 5, 0),
+        lambda: lower_closed_forms(5, n),
+        lambda: bounds_report(5, n),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == want
+    assert dispatch(["bounds", "-p", "5", "-n", str(n)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"linefree bounds: {want}\n"
 
 
 @pytest.mark.parametrize("k", [2, 4])
