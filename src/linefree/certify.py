@@ -70,9 +70,15 @@ PAPER_RICH_CAPS: dict[int, dict[int, int]] = {
 
 ENGINE_VERSION = 1
 
-#: Bytes the candidate enumeration may hold in its state tables and in
-#: its candidate rows; a larger request raises ResourceBudgetError.
+#: Bytes the candidate enumeration may hold in its state tables, its
+#: candidate rows and one level's probes; a larger request raises
+#: ResourceBudgetError.
 ENUMERATION_BYTE_BUDGET = 2**29
+
+#: Bytes one probe of the candidate expansion holds at most: its parent
+#: and value, and at the gather its child (cl, s) and the two temporaries
+#: that build the child's s, all int32.
+_PROBE_BYTES = 24
 
 #: Most candidate rows an enumeration may return; more is budget-exhausted.
 MAX_CANDIDATES = 500_000
@@ -365,18 +371,31 @@ def _margin_coefficients(
 # Both sweeps below run over the states (cl, s) with s = rl - cl * min(c),
 # one (num_classes + 1) x width table per level.  Choosing v moves a state
 # to (cl - v, s - v * (c_i - min(c))), so s never grows, and every state
-# that passes the window holds 0 <= s < width.
+# that passes the window holds 0 <= s < width.  The window into level i is
+# lo[i] * cl <= s <= hi[i] * cl, with lo and hi the prefix minima and maxima
+# of the shifts.  Both of its sides are linear in v, so the values whose
+# child passes the window into level i - 1 form one interval, and the
+# expansion probes only those values (`_child_window`).
+
+
+def _require_bytes(need: int, what: str) -> None:
+    """Raise ResourceBudgetError when need exceeds ENUMERATION_BYTE_BUDGET."""
+    if need > ENUMERATION_BYTE_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} needs about {need} bytes, over the budget of {ENUMERATION_BYTE_BUDGET}"
+        )
 
 
 def _enumeration_shape(
     coeffs: tuple[int, ...], num_classes: int, rhs: int, cell_bytes: int, row_bytes: int = 0
 ):
-    """(shifts, width, window, top values, top s) of the enumeration states.
+    """(shifts, lo, hi, width, window, top values, top s, bytes) of the states.
 
-    window(i) marks the states that pass the interval test on entry to
-    level i; the top value t enters level nd-2 at (num_classes - t, top_s[t]).
-    Raises ResourceBudgetError when cell_bytes per state plus row_bytes
-    would exceed ENUMERATION_BYTE_BUDGET.
+    lo and hi are the prefix minima and maxima of the shifts; window(i)
+    marks the states that pass the interval test on entry to level i; the
+    top value t enters level nd-2 at (num_classes - t, top_s[t]).  bytes is
+    cell_bytes per state plus row_bytes, and ResourceBudgetError is raised
+    when it would exceed ENUMERATION_BYTE_BUDGET.
     """
     low = min(coeffs)
     shifts = [c - low for c in coeffs]
@@ -384,11 +403,7 @@ def _enumeration_shape(
     hi = np.maximum.accumulate(shifts).tolist()
     width = max(rhs - num_classes * low + 1, 0)
     need = (num_classes + 1) * width * cell_bytes + row_bytes
-    if need > ENUMERATION_BYTE_BUDGET:
-        raise ResourceBudgetError(
-            f"candidate enumeration needs about {need} bytes, "
-            f"over the budget of {ENUMERATION_BYTE_BUDGET}"
-        )
+    _require_bytes(need, "candidate enumeration")
     cl = np.arange(num_classes + 1)[:, None]
     s = np.arange(width)[None, :]
 
@@ -396,7 +411,26 @@ def _enumeration_shape(
         return (s >= cl * lo[i]) & (s <= cl * hi[i])
 
     top = np.arange(num_classes + 1)
-    return shifts, width, window, top, (width - 1) - top * shifts[-1]
+    return shifts, lo, hi, width, window, top, (width - 1) - top * shifts[-1], need
+
+
+def _child_window(cl, s, d: int, lo: int, hi: int):
+    """(vlo, vhi): the values v in 0..cl whose child (cl - v, s - v * d)
+    passes lo * (cl - v) <= s - v * d <= hi * (cl - v); none when vlo > vhi.
+
+    Each side reads v * a <= b.  It bounds v above by floor(b / a) when
+    a > 0, below by ceil(b / a) when a < 0, and admits all or no v when
+    a == 0.  cl and s may be arrays; d, lo and hi are scalars.
+    """
+    vlo, vhi = np.zeros_like(cl), cl
+    for a, b in ((d - lo, s - lo * cl), (hi - d, hi * cl - s)):
+        if a > 0:
+            vhi = np.minimum(vhi, b // a)
+        elif a < 0:
+            vlo = np.maximum(vlo, -(b // -a))
+        else:
+            vhi = np.where(b < 0, -1, vhi)
+    return vlo, vhi
 
 
 def _count_enumeration(
@@ -410,7 +444,9 @@ def _count_enumeration(
     """
     nd = len(coeffs)
     # one count table and the window temporaries
-    shifts, width, window, top, top_s = _enumeration_shape(coeffs, num_classes, rhs, 32)
+    shifts, _, _, width, window, top, top_s, _ = _enumeration_shape(
+        coeffs, num_classes, rhs, 32
+    )
     nodes = num_classes + 1
     if nodes > max_nodes or width == 0:
         return nodes, 0
@@ -451,10 +487,13 @@ def _enumerate_candidates(
 
     The calls are counted, not made: a forward sweep counts them, a
     backward sweep marks the states from which a solution is reachable,
-    and the solutions are expanded level by level through reachable
-    children only, parents in order and values ascending, which is the
-    search's own order.  Raises ResourceBudgetError when the state
-    tables or the rows would exceed ENUMERATION_BYTE_BUDGET.
+    and the solutions are expanded level by level.  Each level probes, per
+    frontier state, only the interval of values whose child passes the
+    next window (`_child_window`), and keeps the probes whose child can
+    still reach a solution.  Parents stay in order and values ascend
+    within a parent, which is the search's own order.  Raises
+    ResourceBudgetError when the state tables, the rows, or one level's
+    probes would exceed ENUMERATION_BYTE_BUDGET.
     """
     nd = len(coeffs)
     if nd == 0:
@@ -470,7 +509,7 @@ def _enumerate_candidates(
         return empty, False
     # a reach table per level, and per row one value and one parent per
     # level besides the row itself
-    shifts, width, window, top, top_s = _enumeration_shape(
+    shifts, lo, hi, width, window, top, top_s, held = _enumeration_shape(
         coeffs, num_classes, rhs, nd + 16, found * nd * 12
     )
 
@@ -487,28 +526,30 @@ def _enumerate_candidates(
 
     keep = top_s >= 0
     keep[keep] = enter[nd - 2][num_classes - top[keep], top_s[keep]]
-    f_cl = num_classes - top[keep]
-    f_s = top_s[keep]
+    # The budget holds (num_classes + 1) * width far below 2**31, so the
+    # frontier and the probes are exact in int32 once d, lo and hi are
+    # capped at width: a child keeps s < width, so a larger value admits
+    # the same children as width does.
+    f_cl = (num_classes - top[keep]).astype(np.int32)
+    f_s = top_s[keep].astype(np.int32)
     values: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * nd
     parents: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * nd
     values[nd - 1] = top[keep].astype(np.int32)
     for i in range(nd - 2, 0, -1):
-        d = shifts[i]
-        par_parts, v_parts = [], []
-        idx = np.arange(f_cl.size)
-        v = 0
-        while idx.size:  # idx: the frontier states that can still take v
-            hit = idx[enter[i - 1][f_cl[idx] - v, f_s[idx] - v * d]]
-            par_parts.append(hit)
-            v_parts.append(np.full(hit.size, v, dtype=np.int32))
-            v += 1
-            idx = idx[(f_cl[idx] >= v) & (f_s[idx] >= v * d)]
-        par = np.concatenate(par_parts)
-        order = np.argsort(par, kind="stable")
-        parents[i] = par[order].astype(np.int32)
-        values[i] = np.concatenate(v_parts)[order]
+        d, w_lo, w_hi = (min(x, width) for x in (shifts[i], lo[i - 1], hi[i - 1]))
+        vlo, vhi = _child_window(f_cl, f_s, d, w_lo, w_hi)
+        span = np.maximum(vhi - vlo + 1, 0)
+        probes = int(span.sum())
+        _require_bytes(held + probes * _PROBE_BYTES, f"candidate expansion at level {i}")
+        # parent-major and v ascending: v = vlo + the probe's offset in its span
+        par = np.repeat(np.arange(f_cl.size, dtype=np.int32), span)
+        v = np.repeat(vlo - np.cumsum(span, dtype=np.int32) + span, span)
+        v += np.arange(probes, dtype=np.int32)
+        hit = enter[i - 1][f_cl[par] - v, f_s[par] - v * d]
+        parents[i], values[i] = par[hit], v[hit]
+        del par, v, hit  # before the next level allocates its probes
         f_cl = f_cl[parents[i]] - values[i]
-        f_s = f_s[parents[i]] - values[i].astype(np.int64) * d
+        f_s = f_s[parents[i]] - values[i] * d
 
     out = np.empty((f_cl.size, nd), dtype=np.int32)
     out[:, 0] = f_cl

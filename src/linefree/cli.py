@@ -327,7 +327,8 @@ def _selftest_product() -> None:
 
 
 def _tikz_source(s: PointSet) -> str:
-    """Standalone TikZ picture, one p x p grid per layer, left to right."""
+    """Standalone TikZ picture, one p x p grid per layer, left to right
+    (one row of p cells for n = 1)."""
     p = s.space.p
     out = [
         "\\documentclass[tikz]{standalone}",
@@ -336,12 +337,11 @@ def _tikz_source(s: PointSet) -> str:
     ]
     gap = p + 2
     for bi, (label, block) in enumerate(grid_blocks(s)):
-        x0 = bi * gap
-        out.append(f"\\draw[step=1,gray,very thin] ({x0},0) grid ({x0 + p},{p});")
+        x0, rows = bi * gap, block.shape[0]
+        out.append(f"\\draw[step=1,gray,very thin] ({x0},0) grid ({x0 + p},{rows});")
         for r, c in np.argwhere(block).tolist():
-            out.append(
-                f"\\fill ({x0 + c}.1,{p - 1 - r}.1) rectangle ({x0 + c}.9,{p - 1 - r}.9);"
-            )
+            y = rows - 1 - r
+            out.append(f"\\fill ({x0 + c}.1,{y}.1) rectangle ({x0 + c}.9,{y}.9);")
         out.append(
             f"\\node[below] at ({x0 + p / 2},-0.3) {{\\footnotesize layer {label}}};"
         )

@@ -3,7 +3,8 @@
 A grid file serializes a set layer by layer: the first n-2 coordinates
 name the layer, then a p x p block of 'X'/'.' characters gives the last
 two coordinates (rows are the next-to-last coordinate top to bottom,
-columns the last).  Files use LF line endings and '#' comment lines.
+columns the last).  For n = 1 the one block is a single row of p
+characters.  Files use LF line endings and '#' comment lines.
 """
 
 from __future__ import annotations
@@ -178,10 +179,11 @@ def grid_blocks(s: PointSet) -> list[tuple[str, np.ndarray]]:
 
     Layers come in lexicographic order of the first n-2 coordinates; a
     block's rows are the next-to-last coordinate and its columns the last.
+    For n = 1 the one block is 1 x p.
     """
     p, n = s.space.p, s.space.n
     # point index = sum c_i p^(i-1), so the reversed axes are c_1, ..., c_n
-    blocks = s.bits.reshape((p,) * n).transpose().reshape(-1, p, p)
+    blocks = s.bits.reshape((p,) * n).transpose().reshape(-1, p if n > 1 else 1, p)
     return [
         (",".join(map(str, np.unravel_index(j, (p,) * (n - 2)))) if n > 2 else "-", blocks[j])
         for j in np.flatnonzero(blocks.any(axis=(1, 2)))
@@ -191,14 +193,12 @@ def grid_blocks(s: PointSet) -> list[tuple[str, np.ndarray]]:
 def render_grid(s: PointSet, k: int | None = None) -> str:
     """Serialize a set to grid text, deterministically."""
     p, n = s.space.p, s.space.n
-    if n < 2:
-        raise ValueError("the grid format needs n >= 2")
     if k is None:
         k = p
     require_k(p, k)
     out = [f"{GRID_MAGIC}\np={p} n={n} k={k}\n"]
     for tag, block in grid_blocks(s):
-        chars = np.full((p, p + 1), ord("\n"), dtype=np.uint8)
+        chars = np.full((block.shape[0], p + 1), ord("\n"), dtype=np.uint8)
         chars[:, :p] = np.where(block, ord("X"), ord("."))
         out.append(f"\nlayer {tag}\n" + chars.tobytes().decode("ascii"))
     return "".join(out)
@@ -242,15 +242,15 @@ def parse_grid_document(text: str) -> GridDocument:
     p, n, k = fields["p"], fields["n"], fields["k"]
     try:
         space = SpaceSpec(p, n)
-        if n < 2:
-            raise ValueError("the grid format needs n >= 2")
         require_k(p, k)
     except ValueError as exc:
         raise GridFormatError(str(exc), no) from exc
 
     bits = np.zeros(space.num_points, dtype=np.bool_)
-    # a writable view indexed (c_1, ..., c_n), as in grid_blocks
-    grid = bits.reshape((p,) * n).transpose()
+    # a writable view indexed (c_1, ..., c_n), as in grid_blocks; for n = 1
+    # it is indexed (row 0, c_1)
+    grid = bits.reshape((p,) * n).transpose() if n > 1 else bits.reshape(1, p)
+    rows = p if n > 1 else 1
     pos = 2
     seen_keys = set()
     while pos < len(lines):
@@ -261,9 +261,9 @@ def parse_grid_document(text: str) -> GridDocument:
         if not line.startswith("layer"):
             raise GridFormatError(f"expected a layer block, got {line!r}", no)
         tag = line[5:].strip()
-        if n == 2:
+        if n <= 2:
             if tag != "-":
-                raise GridFormatError("n=2 layer tag must be '-'", no)
+                raise GridFormatError(f"n={n} layer tag must be '-'", no)
             key = ()
         else:
             try:
@@ -276,7 +276,7 @@ def parse_grid_document(text: str) -> GridDocument:
             raise GridFormatError(f"duplicate layer {tag!r}", no)
         seen_keys.add(key)
         pos += 1
-        for r in range(p):
+        for r in range(rows):
             if pos >= len(lines):
                 raise GridFormatError(f"layer {tag!r} is missing row {r}", no)
             rno, row = lines[pos]

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linefree import ResourceBudgetError
+from linefree import ResourceBudgetError, certify
 from linefree.certify import (
     INFEASIBLE,
     UNKNOWN,
     ExclusionInstance,
     NullSpaceError,
+    _child_window,
     _count_enumeration,
     _enumerate_candidates,
+    _enumeration_shape,
     _product_dtype,
     class_distributions,
     make_instance,
@@ -411,6 +413,54 @@ def test_enumeration_special_cases():
     assert got.tolist() == [[3]] and not truncated
     got, truncated = _enumerate_candidates((7,), 3, 20, 0, 0)
     assert got.shape == (0, 1) and not truncated
+    # a shift far beyond int32 on a middle level admits only v = 0 there
+    for coeffs, classes, rhs in [((0, 2**40, 1, 0), 3, 1), ((1, 2**33, 0, 2, 0), 4, 3)]:
+        want, _, _ = _reference_enumeration(coeffs, classes, rhs, 10**9, 10**9)
+        got, truncated = _enumerate_candidates(coeffs, classes, rhs, 10**9, 10**9)
+        assert want.shape[0] and np.array_equal(got, want) and not truncated
+
+
+@st.composite
+def child_windows(draw):
+    """(cl, s, d, lo, hi) with d below lo, at lo, between, at hi or above hi,
+    and s on both sides of lo * cl and of hi * cl."""
+    lo = draw(st.integers(0, 9))
+    hi = lo + draw(st.integers(0, 9))
+    where = draw(st.sampled_from(["below", "lo", "between", "hi", "above"]))
+    if where == "below":
+        lo, hi = lo + 1, hi + 1
+        d = draw(st.integers(0, lo - 1))
+    elif where == "between":
+        d = draw(st.integers(lo, hi))
+    elif where == "above":
+        d = draw(st.integers(hi + 1, hi + 9))
+    else:
+        d = lo if where == "lo" else hi
+    cl = draw(st.integers(0, 12))
+    s = draw(st.integers(max(lo * cl - 12, 0), hi * cl + 12))
+    return cl, s, d, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(child_windows())
+def test_child_window_is_exactly_the_values_whose_child_passes(case):
+    cl, s, d, lo, hi = case
+    want = [v for v in range(cl + 1) if lo * (cl - v) <= s - v * d <= hi * (cl - v)]
+    vlo, vhi = _child_window(np.array([cl], np.int32), np.array([s], np.int32), d, lo, hi)
+    assert list(range(int(vlo[0]), int(vhi[0]) + 1)) == want
+
+
+def test_expansion_probes_count_in_the_byte_budget(monkeypatch):
+    coeffs, classes, rhs = _pair_system(5, 73)
+    nd, found = len(coeffs), 76_817
+    held = _enumeration_shape(coeffs, classes, rhs, nd + 16, found * nd * 12)[-1]
+    # the widest level of 73 probes 207,098 (state, value) pairs
+    fits = held + 207_098 * certify._PROBE_BYTES
+    monkeypatch.setattr(certify, "ENUMERATION_BYTE_BUDGET", fits)
+    assert _enumerate_candidates(coeffs, classes, rhs, found)[0].shape == (found, nd)
+    monkeypatch.setattr(certify, "ENUMERATION_BYTE_BUDGET", fits - 1)
+    with pytest.raises(ResourceBudgetError, match="candidate expansion at level"):
+        _enumerate_candidates(coeffs, classes, rhs, found)
 
 
 @pytest.mark.parametrize(

@@ -103,9 +103,7 @@ def test_construct_builds_exactly_what_the_catalogue_lists(family, p, n, capsys)
     listed = [c for c in catalogue(p, n) if c.label.partition("(")[0] == family]
     code = dispatch(["construct", "--family", family, "-p", str(p), "-n", str(n)])
     out, err = capsys.readouterr()
-    if listed and n == 1:  # the hypercube is listed, but a grid file holds n >= 2
-        assert (code, out, err) == (2, "", "linefree construct: the grid format needs n >= 2\n")
-    elif listed:
+    if listed:
         assert (code, err) == (0, "")
         assert out == render_grid(listed[0].build(), p)
     else:
@@ -265,6 +263,10 @@ def test_render_text_and_tikz(tmp_path):
     tikz = run("render", str(grid), "--tikz")
     assert "\\begin{tikzpicture}" in tikz.stdout
     assert "\\documentclass" in tikz.stdout
+    # n = 1 draws its one block as a single row of p cells
+    run("construct", "--family", "hypercube", "-p", "5", "-n", "1", "-o", str(grid))
+    tikz = run("render", str(grid), "--tikz").stdout
+    assert "grid (5,1);" in tikz and tikz.count("\\fill") == 4
 
 
 def test_tikz_output_is_pinned(tmp_path):

@@ -74,7 +74,7 @@ def test_set_algebra():
     assert a.without_points([(0, 0)]).size == 2
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (5, 3), (3, 4)])
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (5, 3), (3, 4)])
 def test_grid_round_trip_random(p, n, rng):
     for density in (0.0, 0.2, 0.5, 1.0):
         s = random_set(p, n, density, rng)
@@ -92,9 +92,15 @@ def test_grid_header_carries_k():
     assert parse_grid_document(text).k == 4
 
 
-def test_grid_rejects_one_dimensional():
-    with pytest.raises(ValueError):
-        render_grid(PointSet.empty(SpaceSpec(5, 1)), 5)
+def test_grid_one_dimensional_form_is_one_row():
+    s = PointSet.from_indices(SpaceSpec(5, 1), [0, 2, 3])
+    text = render_grid(s, 4)
+    assert text == "linefree-grid v1\np=5 n=1 k=4\n\nlayer -\nX.XX.\n"
+    assert parse_grid(text) == s
+    with pytest.raises(GridFormatError):
+        parse_grid(text + ".....\n")  # a second row
+    with pytest.raises(GridFormatError):
+        parse_grid(text.replace("layer -", "layer 0"))
 
 
 def test_parse_empty_layers_is_empty_set():
