@@ -195,11 +195,7 @@ def cmd_search(args) -> int:
             out.append(f"line updates: {res.line_updates}")
             out.append(f"elapsed: {res.elapsed:.3f}s")
         sys.stdout.write("\n".join(out) + "\n")
-        if res.space.n >= 2:
-            sys.stdout.write(render_grid(res.best, args.k))
-        else:
-            pts = ",".join(str(int(i)) for i in res.best.indices())
-            sys.stdout.write(f"set: {{{pts}}}\n")
+        sys.stdout.write(render_grid(res.best, args.k))
     return EXIT_OK if res.optimal else EXIT_BUDGET
 
 

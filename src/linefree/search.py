@@ -41,13 +41,13 @@ class SearchConfig:
     warm: optional starting incumbent (must verify k-progression-free).
 
     threads: worker processes.  None or 1 searches in the calling
-    process.  More splits the tree into at least 16 subtrees per worker;
-    the calling process searches them in order from an allowance of 2^15
-    nodes, and only then forks that many workers (POSIX) for the rest.
-    The node and time budgets hold for the whole call, and the
-    reported set is the first maximum set in depth-first order (a tie
-    never replaces an earlier set), so size and set are the same at any
-    worker count.
+    process.  More first runs that serial search on 2^15 nodes; only a
+    tree that outgrows them is split into at least 16 subtrees per worker
+    and searched anew by that many forked workers (POSIX).  The node and
+    time budgets hold for the whole call, and the reported set is the
+    first maximum set in depth-first order (a tie never replaces an
+    earlier set), so size and set are the same at any worker count, and
+    every count too on a tree of at most 2^15 nodes.
 
     fix_translation: sound symmetry breaking that pins an affine frame
     on a heaviest line.  Let C be the complement of a k-progression-free
@@ -246,7 +246,7 @@ class _BudgetExhausted(Exception):
 
 
 _GRANT = 2048  # nodes an engine draws from the budget at a time
-_INLINE_NODES = 2**15  # nodes a threaded call searches itself before it forks
+_INLINE_NODES = 2**15  # nodes a threaded call searches serially before it splits and forks
 _SUBTREES_PER_WORKER = 16  # enough to even out subtrees of unequal size
 _AXIS_SPLIT_DEPTH = 10  # at most 2^10 subtrees from the frame's axis points
 
@@ -740,39 +740,28 @@ def _run_worker_tree(prefix: tuple[tuple[int, int], ...]) -> _TreeResult:
 def _run_workers(
     ws: _WindowSystem, cfg: SearchConfig, start_size: int, deadline: float | None, workers: int
 ) -> list[_TreeResult]:
-    """_run_tree over the root subtrees, in subtree order.
+    """The serial search, or _run_tree over the root subtrees in subtree order.
 
-    The calling process searches the subtrees itself from an allowance of
-    _INLINE_NODES nodes, so a small tree never pays for a pool and a large
-    one runs at most that many nodes before it forks.  A subtree that the
-    allowance, not the call's budget or deadline, cuts short is searched
-    again, whole, on a worker, so only where a subtree runs changes.
-    Forked workers take the rest, inherit the window tables and draw what
-    is left of the node budget from a shared budget.  multiprocessing is
-    imported only then, so that importing linefree and a small threaded
-    search stay as cheap as a serial search.
+    The calling process first runs the serial search on _INLINE_NODES
+    nodes.  If that finishes, or the call's own node budget or deadline
+    stops it, it is the result: a small tree never pays for a pool and
+    gives exactly the serial counts.  Otherwise the attempt is dropped,
+    neither charged nor reported, and forked workers search every subtree,
+    inherit the window tables and draw the whole node budget from a shared
+    budget.  multiprocessing is imported only then, so that importing
+    linefree and a small threaded search stay as cheap as a serial search.
     """
-    prefixes = _root_prefixes(ws, cfg, workers)
-    head = _Budget(min(cfg.node_budget, _INLINE_NODES), deadline)
-    outs: list[_TreeResult] = []
-    for prefix in prefixes:
-        if not head.left.value:  # the allowance is spent
-            break
-        out = _run_tree(ws, cfg.fix_translation, start_size, head, prefix)
-        if not out[2]:  # cut short
-            if cfg.node_budget <= _INLINE_NODES or deadline is not None and time.monotonic() > deadline:
-                return outs + [out]  # by the call's own budget
-            break
-        outs.append(out)
-    else:
-        return outs
+    budget = _Budget(min(cfg.node_budget, _INLINE_NODES), deadline)
+    out = _run_tree(ws, cfg.fix_translation, start_size, budget, _frame_prefix(cfg, ws.p, ws.n))
+    if out[2] or cfg.node_budget <= _INLINE_NODES or deadline is not None and time.monotonic() > deadline:
+        return [out]
     import multiprocessing
 
     mp = multiprocessing.get_context("fork")
-    shared = _Budget(cfg.node_budget - sum(o[3][0] for o in outs), deadline, mp)
+    shared = _Budget(cfg.node_budget, deadline, mp)
     args = (ws, cfg.fix_translation, start_size, shared)
     with mp.Pool(workers, _init_worker, args) as pool:
-        return outs + list(pool.imap(_run_worker_tree, prefixes[len(outs) :]))
+        return list(pool.imap(_run_worker_tree, _root_prefixes(ws, cfg, workers)))
 
 
 def max_free_exact(

@@ -359,7 +359,7 @@ def test_criterion_7_grid_round_trip_everywhere(rng):
 
 def test_criterion_7_thread_count_independence(monkeypatch):
     # multi-worker runs with every subtree forked (cutoff 0) and with the
-    # default in-process head
+    # default cutoff, under which the calling process runs the serial search
     t0 = time.monotonic()
     searches = [max_free_exact(5, 2, 4, threads=1)]
     for cutoff in (0, search._INLINE_NODES):

@@ -164,6 +164,10 @@ def test_search_warm_start(tmp_path):
     run("construct", "--family", "hypercube", "-p", "5", "-n", "2", "-o", str(warm))
     doc = run_json("search", "-p", "5", "-n", "2", "-k", "5", "--warm", str(warm))
     assert doc["size"] == 16
+    # the grid that search prints, one-dimensional too, is a warm start
+    out = run("search", "-p", "5", "-n", "1", "-k", "5").stdout
+    warm.write_text(out[out.index("linefree-grid v1") :])
+    assert run_json("search", "-p", "5", "-n", "1", "-k", "5", "--warm", str(warm))["size"] == 4
 
 
 # --- bounds / certify / rate -------------------------------------------------------
@@ -366,6 +370,7 @@ _PINNED = [
     "search -p 5 -n 2 -k 5 --json",
     "search -p 5 -n 2 -k 5 --timing",
     "search -p 5 -n 2 -k 5 --json --timing",
+    "search -p 5 -n 1 -k 5",
     "bounds -p 5 -n 3",
     "bounds -p 7 -n 3 --json",
     "certify -p 5 --target 74",
@@ -416,6 +421,7 @@ CLI_PINS = {
     "search -p 5 -n 2 -k 5 --json": "89efed17e4445bf97ee1d3fab98ea34b296477372feda81e1acd232894e36fd4",
     "search -p 5 -n 2 -k 5 --timing": "1a14636b3185de7b202eca9cc3300735882ebfd49d9d2f97d2989404d5b96e80",
     "search -p 5 -n 2 -k 5 --json --timing": "85ed2f1e5d20b027e309a21f4698d7492b6ae72c7b2956b51e4197972a39585f",
+    "search -p 5 -n 1 -k 5": "1c62201f1f50ecd6f8dc6a7943a97a17d15c679d2e6e3182715039a97f3c7971",
     "bounds -p 5 -n 3": "2c5ba0c9d59897748b570adf79a4150a3f75959f321164f9e465106a84bd8554",
     "bounds -p 7 -n 3 --json": "e66780c0f1480856e875504c32c1251d9de6a175f01f7ca8191706ea2a290f80",
     "certify -p 5 --target 74": "c5b76a90781068b102b72915759de81f3df1331154763d29854c136ffe04e442",

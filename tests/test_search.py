@@ -201,8 +201,8 @@ def test_time_budget_exhaustion():
 def test_budgets_hold_per_call_at_any_thread_count(monkeypatch, threads):
     # every subtree draws from one allowance and one deadline, and a node
     # counts only once granted, so no worker count overdraws the budget:
-    # with every subtree forked (cutoff 0), with a handover after 5,000
-    # nodes, and with the default cutoff, above the node budget
+    # with every subtree forked (cutoff 0), after a dropped serial attempt
+    # of 5,000 nodes, and with the default cutoff, above the node budget
     for cutoff in (0, 5_000, search._INLINE_NODES):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
         by_nodes = max_free_exact(7, 2, 7, threads=threads, node_budget=20_000)
@@ -251,13 +251,19 @@ SMALL = [(5, 2, 3, 6), (5, 2, 4, 11), (5, 2, 5, 16), (3, 2, 3, 4), (3, 3, 3, 9)]
 FRAMED_ONLY = [(7, 2, 3, 10), (7, 2, 7, 36)]
 
 
+def _counts(r) -> tuple[int, ...]:
+    return (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, r.line_updates)
+
+
 @pytest.mark.parametrize(
     "p, n, k, size, fix",
     [(*c, fix) for c in SMALL for fix in (False, True)] + [(*c, True) for c in FRAMED_ONLY],
 )
 def test_thread_counts_agree_on_value_and_set(monkeypatch, p, n, k, size, fix):
     # the first maximum set in depth-first order, whatever the split, with
-    # every subtree on forked workers (cutoff 0) and with the default head
+    # every subtree on forked workers (cutoff 0) and with the default
+    # cutoff; a tree within the default cutoff is the serial search, every
+    # counter included
     results = [max_free_exact(p, n, k, threads=t, fix_translation=fix) for t in (None, 1)]
     for cutoff in (0, search._INLINE_NODES):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
@@ -265,6 +271,8 @@ def test_thread_counts_agree_on_value_and_set(monkeypatch, p, n, k, size, fix):
     assert {r.size for r in results} == {size}
     assert all(r.optimal for r in results)
     assert len({r.best for r in results}) == 1
+    if results[0].nodes <= search._INLINE_NODES:
+        assert all(_counts(r) == _counts(results[0]) for r in results[-2:])
 
 
 def test_root_split_respects_the_frame():
@@ -529,20 +537,20 @@ def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
 
 
 def test_prune_counts_sum_over_workers(monkeypatch):
-    # a split search reports the sums of its subtrees' counts, line updates
-    # too, whether its subtrees run on forked workers (cutoff 0) or in the
-    # calling process
+    # a split search (cutoff 0: every subtree on forked workers) reports the
+    # sums of its subtrees' counts, line updates too; at the default cutoff
+    # the 991-node tree never splits and reports the serial counts
     cfg = SearchConfig(fix_translation=True)
     ws = search._WindowSystem(5, 2, 4)
     budget = search._Budget(cfg.node_budget, None)
     prefixes = search._root_prefixes(ws, cfg, 2)
     subtrees = [search._run_tree(ws, True, 9, budget, pre) for pre in prefixes]
     sums = tuple(map(sum, zip(*(o[3] for o in subtrees))))
-    for cutoff in (0, search._INLINE_NODES):
+    serial = _counts(max_free_exact(5, 2, 4, cfg))  # warm box of 9 points
+    for cutoff, counts in ((0, sums), (search._INLINE_NODES, serial)):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
-        split = max_free_exact(5, 2, 4, cfg, threads=2)  # warm box of 9 points
-        counts = (split.nodes, split.bound_prunes, split.frame_prunes, split.orbit_prunes, split.line_updates)
-        assert counts == sums
+        split = max_free_exact(5, 2, 4, cfg, threads=2)
+        assert _counts(split) == counts
         assert split.bound_prunes > 0 and split.frame_prunes > 0
         unframed = max_free_exact(5, 2, 4, threads=2)
         assert unframed.frame_prunes == unframed.orbit_prunes == 0
@@ -680,7 +688,13 @@ def test_search_keeps_no_tables_after_it_returns(monkeypatch, threads):
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch):
+    # the calling process still makes its empty-allowance attempt, with the
+    # real dfs; only the workers' dfs fails
+    caller, dfs = os.getpid(), search._Engine.dfs
+
     def fail(self):
+        if os.getpid() == caller:
+            return dfs(self)
         raise RuntimeError(f"engine failed in process {os.getpid()}")
 
     monkeypatch.setattr(search._Engine, "dfs", fail)
@@ -692,8 +706,8 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
 
 def test_import_leaves_multiprocessing_out():
     # only a search that forks workers imports multiprocessing; framed
-    # (7,2,7) at 2 workers takes about 24k nodes, under _INLINE_NODES, so
-    # the calling process searches every subtree itself
+    # (7,2,7) takes 24,707 nodes, under _INLINE_NODES, so at 2 workers the
+    # calling process runs the serial search and never splits
     src = Path(search.__file__).resolve().parents[1]
     code = (
         "import sys, linefree, linefree.cli; print('multiprocessing' in sys.modules); "
@@ -712,31 +726,31 @@ def test_import_leaves_multiprocessing_out():
 
 
 def test_handover_to_workers_keeps_every_count(monkeypatch):
-    # the same subtrees, whether all forked, handed over after the first
-    # few or the last few (37,386 nodes pass the default cutoff), or all
-    # searched in the calling process; the subtree a handover cuts short
-    # is searched again, whole, on a worker
-    runs = {}
+    # every cutoff below the tree's 37,297 serial nodes (the default too)
+    # drops the serial attempt and gives the same split result; a cutoff
+    # above it gives the serial search (pinned in
+    # test_k_p_minus_1_searches_are_pinned)
+    def run(**kw):
+        r = max_free_exact(5, 2, 4, **kw)
+        return (r.size, hashlib.sha256(r.best.bits.tobytes()).hexdigest(), *_counts(r))
+
+    runs = []
     for cutoff in (0, 300, search._INLINE_NODES, 10**9):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
-        r = max_free_exact(5, 2, 4, threads=2)
-        digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
-        runs[cutoff] = (r.size, digest, r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, r.line_updates)
-    assert len(set(runs.values())) == 1
+        runs.append(run(threads=2))
+    assert runs[0] == runs[1] == runs[2]
     size, _, nodes, *_ = runs[0]
     assert (size, nodes) == (11, 37_386)
+    assert runs[3] == run()
 
 
-@pytest.mark.parametrize(
-    "threads, budget, inline_nodes", [(2, 2_000, [175, 325]), (4, 20_000, [77, 97, 195, 131])]
-)
+@pytest.mark.parametrize("threads, budget, inline_nodes", [(2, 2_000, [500]), (4, 20_000, [500])])
 def test_node_budget_holds_across_the_handover(monkeypatch, threads, budget, inline_nodes):
-    # the calling process spends exactly the 500-node cutoff: at 2 workers
-    # the first subtree takes 175 nodes, and the second, of 483, is cut at
-    # 325 and left to the workers, which draw the rest of the budget from
-    # a shared allowance (at 20,000, in several grants over 4 workers)
+    # the calling process makes exactly one serial attempt of the 500-node
+    # cutoff and drops it; the workers then draw the whole budget from a
+    # shared allowance (at 20,000, in several grants over 4 workers)
     monkeypatch.setattr(search, "_INLINE_NODES", 500)
-    inline = []  # nodes of the subtrees searched in this process; a worker's calls stay in the worker
+    inline = []  # nodes of the trees searched in this process; a worker's calls stay in the worker
     search_tree = search._run_tree
 
     def run_tree(*args):
@@ -747,7 +761,7 @@ def test_node_budget_holds_across_the_handover(monkeypatch, threads, budget, inl
     monkeypatch.setattr(search, "_run_tree", run_tree)
     r = max_free_exact(5, 2, 4, threads=threads, node_budget=budget)
     assert inline == inline_nodes
-    assert 175 < r.nodes <= budget and not r.optimal
+    assert r.nodes <= budget and not r.optimal
 
 
 # --- heuristic mode ---------------------------------------------------------------
