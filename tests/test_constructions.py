@@ -175,9 +175,24 @@ def test_qr_mask_matches_the_set_definition(p):
     assert np.array_equal(qr_construction(p).bits, _reference_qr(p).bits)
 
 
-def test_qr31_bits_pin():
-    digest = hashlib.sha256(qr_construction(31).bits.tobytes()).hexdigest()
-    assert digest == "9b4af76ffb7aa6dfe118d3fcccd8f3c4bfafaa137126b0106105c60812a4ea3b"
+# sha256 of .bits, taken from the coordinate-table builds these replaced
+BITS_PINS = {
+    "cube-5-3": (hypercube, (5, 3), "a83ec5954ab144749781f33b8a2a2aa1a8fda6ef93d0df4aeb8e3e1fc9af9057"),
+    "cube-37-3": (hypercube, (37, 3), "339d50a2c32bf6b55dde701cd3e51d80c2c849c5fd5bd7cec2d18ff35b17edd1"),
+    "box-7-4-5": (box, (7, 4, 5), "84b15d3f9a6845d5636677f0737e97f16dbbd223c01aac2fd68a080c15c5d9ab"),
+    "layered53": (layered, (5, 3), "364479b754fabb7fe095d42854fc707e08ba7716c7f0a393903228defc81aca1"),
+    "layered74": (layered, (7, 4), "da6eb7cc048b62ca8df933344a868ce4f8d25f96826f391abb08ddd1586a3217"),
+    "layered56": (layered, (5, 6), "3324cbad4bcf9a4a730feec9ab8e17793b28e7a852159b486c1a91bc5b1aa202"),
+    "sqrt29": (sqrt_construction, (29,), "ab8d1b3575d293b27266d8482dc5190e2a5f9114db1377794fe1f912d087878c"),
+    "sqrt37": (sqrt_construction, (37,), "fb54727d1979983b011820a3ec607938e4d222185dd49be72f6a2d2b4187da1e"),
+    "qr31": (qr_construction, (31,), "9b4af76ffb7aa6dfe118d3fcccd8f3c4bfafaa137126b0106105c60812a4ea3b"),
+}
+
+
+@pytest.mark.parametrize("name", list(BITS_PINS))
+def test_construction_bits_are_pinned(name):
+    build, args, digest = BITS_PINS[name]
+    assert hashlib.sha256(build(*args).bits.tobytes()).hexdigest() == digest
 
 
 # --- bundled reference set ----------------------------------------------
