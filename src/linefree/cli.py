@@ -150,7 +150,7 @@ def _parse_budget(text: str) -> dict:
             value = float(text[:-1])
         except ValueError:
             raise ValueError(f"bad budget {text!r}") from None
-        if value <= 0:
+        if not value > 0:  # NaN too
             raise ValueError("budget must be positive")
         return {"time_budget": value * suffixes[text[-1]]}
     try:

@@ -13,16 +13,20 @@ Four families are provided:
   p = 7 (mod 24), beating the hypercube by p - 1 points (and by 9 when
   p = 7, where two of its removal families coincide).
 
-A reference 70-point set in F_5^3 is bundled as a grid file.
+Each set is built as its coordinate mask (see `linefree.pointset`): the
+box from one interval per axis, the others from conditions on the leading
+coordinates that pick one p x p block per layer.  A reference 70-point
+set in F_5^3 is bundled as a grid file.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from importlib import resources
 
 import numpy as np
 
-from .geometry import SpaceSpec, require_odd_prime, space_tables
+from .geometry import SpaceSpec, require_odd_prime
 from .pointset import PointSet, parse_grid_document
 
 
@@ -31,10 +35,8 @@ def box(p: int, n: int, side: int) -> PointSet:
     require_odd_prime(p)
     if not 0 <= side <= p:
         raise ValueError(f"side must be in [0, p], got {side}")
-    space = SpaceSpec(p, n)
-    t = space_tables(p, n)
-    mask = (t.coords < side).all(axis=1)
-    return PointSet(space, mask)
+    side_mask = np.arange(p) < side
+    return PointSet.from_mask(SpaceSpec(p, n), reduce(np.logical_and.outer, [side_mask] * n))
 
 
 def hypercube(p: int, n: int) -> PointSet:
@@ -65,7 +67,6 @@ def layered(p: int, n: int) -> PointSet:
     if n < 3:
         raise ValueError("layered sets need n >= 3; use hypercube for n <= 2")
     space = SpaceSpec(p, n)
-    t = space_tables(p, n)
     half = (p - 3) // 2
 
     a_mask = np.zeros((p, p), dtype=bool)
@@ -79,17 +80,15 @@ def layered(p: int, n: int) -> PointSet:
     c_mask = np.zeros((p, p), dtype=bool)
     c_mask[np.arange(half + 1), np.arange(half + 1)] = True
 
-    pos = t.coords[:, : n - 2]
-    r = t.coords[:, n - 2]
-    c = t.coords[:, n - 1]
-    in_a = (pos <= p - 3).all(axis=1)
-    in_b = (pos <= p - 2).all(axis=1) & ~in_a
-    in_c = ((pos == p - 1).sum(axis=1) == 1) & ((pos <= p - 3).sum(axis=1) == n - 3)
-
-    bits = (
-        (in_a & a_mask[r, c]) | (in_b & b_mask[r, c]) | (in_c & c_mask[r, c])
-    )
-    return PointSet(space, bits)
+    pos = np.indices((p,) * (n - 2), sparse=True)
+    low = sum(c <= p - 3 for c in pos)
+    top = sum(c == p - 1 for c in pos)
+    in_a = low == n - 2
+    in_b = (top == 0) & ~in_a
+    in_c = (top == 1) & (low == n - 3)
+    # positions in none of A, B, C pick the empty block 0
+    blocks = np.stack([np.zeros((p, p), dtype=bool), a_mask, b_mask, c_mask])
+    return PointSet.from_mask(space, blocks[in_a + 2 * in_b + 3 * in_c])
 
 
 def sqrt_params(p: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
@@ -111,8 +110,6 @@ def sqrt_construction(p: int) -> PointSet:
     require_odd_prime(p)
     if p < 5:
         raise ValueError("the interval construction degenerates for p = 3; need p >= 5")
-    space = SpaceSpec(p, 3)
-    t_tab = space_tables(p, 3)
     k, t, K, T = sqrt_params(p)
 
     a_mask = np.zeros((p, p), dtype=bool)
@@ -127,15 +124,8 @@ def sqrt_construction(p: int) -> PointSet:
     top_mask = np.zeros((p, p), dtype=bool)
     top_mask[np.ix_(np.array(K), np.array(T))] = True
 
-    z = t_tab.coords[:, 0]
-    r = t_tab.coords[:, 1]
-    c = t_tab.coords[:, 2]
-    bits = (
-        ((z <= p - 3) & a_mask[r, c])
-        | ((z == p - 2) & mid_mask[r, c])
-        | ((z == p - 1) & top_mask[r, c])
-    )
-    return PointSet(space, bits)
+    layers = np.repeat(np.stack([a_mask, mid_mask, top_mask]), [p - 2, 1, 1], axis=0)
+    return PointSet.from_mask(SpaceSpec(p, 3), layers)
 
 
 def quadratic_residues(p: int) -> set[int]:
@@ -175,8 +165,7 @@ def qr_construction(p: int) -> PointSet:
     mask[b, b, b] = mask[b3_half, b3_half, b] = mask[b_third, b_third, b] = False
     mask[b3, -b3_half % p, b] = mask[-b3_half % p, b3, b] = False
     mask[b, b, 0] = mask[2 * a % p, -a % p, 0] = mask[-a % p, 2 * a % p, 0] = True
-    # index z + p*x + p^2*y: the axes in order (y, x, z), most significant first
-    return PointSet(space, mask.transpose(1, 0, 2).reshape(-1))
+    return PointSet.from_mask(space, mask.transpose(2, 0, 1))
 
 
 _REFERENCE_NAMES = ("fig70",)

@@ -1,5 +1,10 @@
 """Point sets in F_p^n and the grid text format (version 1).
 
+A set is a membership bitmap over point indices: the point
+(c_1, ..., c_n) has index sum c_i p^(i-1), and its bit is also
+`mask()[c_1, ..., c_n]`, the view every builder and reshaper here reads
+and writes through.
+
 A grid file serializes a set layer by layer: the first n-2 coordinates
 name the layer, then a p x p block of 'X'/'.' characters gives the last
 two coordinates (rows are the next-to-last coordinate top to bottom,
@@ -13,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import SpaceSpec, det_mod, point_index, require_k, space_tables
+from .geometry import SpaceSpec, det_mod, point_index, require_k
 
 GRID_MAGIC = "linefree-grid v1"
 
@@ -65,6 +70,13 @@ class PointSet:
         return cls(space, bits)
 
     @classmethod
+    def from_mask(cls, space: SpaceSpec, mask: np.ndarray) -> "PointSet":
+        """The set whose bit at (c_1, ..., c_n) is mask[c_1, ..., c_n]."""
+        if mask.shape != (space.p,) * space.n:
+            raise ValueError("mask must have shape (p,) * n")
+        return cls(space, mask.transpose().reshape(-1))
+
+    @classmethod
     def from_points(cls, space: SpaceSpec, points: Iterable[Sequence[int]]) -> "PointSet":
         return cls.from_indices(space, (point_index(space, tuple(q)) for q in points))
 
@@ -92,9 +104,16 @@ class PointSet:
     def indices(self) -> np.ndarray:
         return np.nonzero(self.bits)[0].astype(np.int64)
 
+    def mask(self) -> np.ndarray:
+        """Read-only view of the bits indexed [c_1, ..., c_n]."""
+        return self.bits.reshape((self.space.p,) * self.space.n).transpose()
+
+    def coords(self) -> np.ndarray:
+        """(size, n) coordinates of the members, in index order."""
+        return np.argwhere(self.bits.reshape((self.space.p,) * self.space.n))[:, ::-1]
+
     def points(self) -> list[tuple[int, ...]]:
-        t = space_tables(self.space.p, self.space.n)
-        return [tuple(int(c) for c in t.coords[i]) for i in self.indices()]
+        return list(map(tuple, self.coords().tolist()))
 
     def union(self, other: "PointSet") -> "PointSet":
         self._check_same_space(other)
@@ -128,10 +147,7 @@ def layer(s: PointSet, value: int) -> PointSet:
         raise ValueError("layers need n >= 2")
     if not 0 <= value < space.p:
         raise ValueError(f"layer value {value} out of range for p={space.p}")
-    sub = SpaceSpec(space.p, space.n - 1)
-    idx = s.indices()
-    sel = idx[idx % space.p == value]
-    return PointSet.from_indices(sub, sel // space.p)
+    return PointSet.from_mask(SpaceSpec(space.p, space.n - 1), s.mask()[value])
 
 
 def from_layers(p: int, layers: Sequence[PointSet]) -> PointSet:
@@ -142,20 +158,15 @@ def from_layers(p: int, layers: Sequence[PointSet]) -> PointSet:
     for lay in layers:
         if lay.space != SpaceSpec(p, sub_n):
             raise ValueError("layers live in different spaces")
-    space = SpaceSpec(p, sub_n + 1)
-    parts = [lay.indices() * p + value for value, lay in enumerate(layers)]
-    return PointSet.from_indices(space, np.concatenate(parts))
+    return PointSet.from_mask(SpaceSpec(p, sub_n + 1), np.stack([lay.mask() for lay in layers]))
 
 
 def product(s1: PointSet, s2: PointSet) -> PointSet:
     """Cartesian product: coordinates of s1 first, then those of s2."""
     if s1.space.p != s2.space.p:
         raise ValueError("product needs a common p")
-    p = s1.space.p
-    space = SpaceSpec(p, s1.space.n + s2.space.n)
-    shift = p**s1.space.n
-    combined = (s1.indices()[None, :] + shift * s2.indices()[:, None]).reshape(-1)
-    return PointSet.from_indices(space, combined)
+    space = SpaceSpec(s1.space.p, s1.space.n + s2.space.n)
+    return PointSet.from_mask(space, np.logical_and.outer(s1.mask(), s2.mask()))
 
 
 def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[int]) -> PointSet:
@@ -168,10 +179,10 @@ def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[i
         raise ValueError(f"need a {n}x{n} matrix and length-{n} shift")
     if det_mod(m.tolist(), p) == 0:
         raise ValueError("matrix is singular mod p")
-    t = space_tables(p, n)
-    pts = t.coords[s.indices()]
-    image = (pts @ m.T + v) % p
-    return PointSet.from_indices(space, image @ t.powers)
+    image = (s.coords() @ m.T + v) % p
+    mask = np.zeros((p,) * n, dtype=np.bool_)
+    mask[tuple(image.T)] = True
+    return PointSet.from_mask(space, mask)
 
 
 def grid_blocks(s: PointSet) -> list[tuple[str, np.ndarray]]:
@@ -182,8 +193,7 @@ def grid_blocks(s: PointSet) -> list[tuple[str, np.ndarray]]:
     For n = 1 the one block is 1 x p.
     """
     p, n = s.space.p, s.space.n
-    # point index = sum c_i p^(i-1), so the reversed axes are c_1, ..., c_n
-    blocks = s.bits.reshape((p,) * n).transpose().reshape(-1, p if n > 1 else 1, p)
+    blocks = s.mask().reshape(-1, p if n > 1 else 1, p)
     return [
         (",".join(map(str, np.unravel_index(j, (p,) * (n - 2)))) if n > 2 else "-", blocks[j])
         for j in np.flatnonzero(blocks.any(axis=(1, 2)))
@@ -234,7 +244,7 @@ def parse_grid_document(text: str) -> GridDocument:
         if "=" not in part:
             raise GridFormatError(f"bad header field {part!r}", no)
         key, _, val = part.partition("=")
-        if key not in ("p", "n", "k") or not val.isdigit():
+        if key not in ("p", "n", "k") or not (val.isascii() and val.isdigit()):
             raise GridFormatError(f"bad header field {part!r}", no)
         fields[key] = int(val)
     if set(fields) != {"p", "n", "k"}:
@@ -246,10 +256,8 @@ def parse_grid_document(text: str) -> GridDocument:
     except ValueError as exc:
         raise GridFormatError(str(exc), no) from exc
 
-    bits = np.zeros(space.num_points, dtype=np.bool_)
-    # a writable view indexed (c_1, ..., c_n), as in grid_blocks; for n = 1
-    # it is indexed (row 0, c_1)
-    grid = bits.reshape((p,) * n).transpose() if n > 1 else bits.reshape(1, p)
+    mask = np.zeros((p,) * n, dtype=np.bool_)
+    grid = mask if n > 1 else mask.reshape(1, p)  # n = 1: one row, indexed (0, c_1)
     rows = p if n > 1 else 1
     pos = 2
     seen_keys = set()
@@ -286,8 +294,7 @@ def parse_grid_document(text: str) -> GridDocument:
                 )
             grid[key + (r,)] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("X")
             pos += 1
-    doc = PointSet(space, bits)
-    return GridDocument(doc, k)
+    return GridDocument(PointSet.from_mask(space, mask), k)
 
 
 def parse_grid(text: str) -> PointSet:

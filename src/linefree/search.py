@@ -101,7 +101,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ValueError("time_budget must be positive")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")

@@ -157,6 +157,9 @@ def test_search_time_budget_suffix():
 
 def test_search_bad_budget_is_usage_error():
     run("search", "-p", "3", "-n", "2", "-k", "3", "--budget", "soon", expect=2)
+    # a NaN deadline never passes, so the search would run without a time limit
+    proc = run("search", "-p", "3", "-n", "2", "-k", "3", "--budget", "nans", expect=2)
+    assert "budget must be positive" in proc.stderr
 
 
 def test_search_warm_start(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from linefree.constructions import (
     sqrt_construction,
     sqrt_params,
 )
-from linefree.geometry import SpaceSpec
+from linefree.geometry import SpaceSpec, space_tables
 from linefree.pointset import PointSet, layer
 from linefree.verifier import find_progression
 
@@ -193,6 +194,23 @@ BITS_PINS = {
 def test_construction_bits_are_pinned(name):
     build, args, digest = BITS_PINS[name]
     assert hashlib.sha256(build(*args).bits.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(hypercube, (31, 4)), (layered, (7, 7)), (sqrt_construction, (97,))],
+    ids=["cube-31-4", "layered77", "sqrt97"],
+)
+def test_constructions_take_a_few_bytes_per_point(build, args):
+    # a bitmap is 1 byte per point; a p^n x n coordinate table would be 8n
+    space_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        s = build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * s.space.num_points
 
 
 # --- bundled reference set ----------------------------------------------

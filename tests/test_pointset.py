@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_set
 from linefree import constructions as cons
-from linefree.geometry import SpaceSpec
+from linefree.geometry import SpaceSpec, index_point
 from linefree.pointset import (
     GridFormatError,
     PointSet,
@@ -62,6 +62,20 @@ def test_bits_are_frozen():
     s = PointSet.empty(SpaceSpec(3, 2))
     with pytest.raises((ValueError, AttributeError)):
         s.bits[0] = True
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (3, 4), (7, 3)])
+def test_mask_view_round_trips(p, n, rng):
+    s = random_set(p, n, 0.4, rng)
+    mask = s.mask()
+    assert mask.shape == (p,) * n and not mask.flags.writeable
+    assert PointSet.from_mask(s.space, mask) == s
+    for i in rng.integers(0, s.space.num_points, 30):
+        c = index_point(s.space, int(i))
+        assert mask[c] == (c in s)
+    assert [tuple(r) for r in s.coords().tolist()] == [index_point(s.space, i) for i in s.indices()]
+    with pytest.raises(ValueError):
+        PointSet.from_mask(s.space, mask[None])
 
 
 def test_set_algebra():
@@ -121,6 +135,10 @@ def test_parse_errors_carry_line_numbers():
     truncated = "\n".join(good.splitlines()[:-1]) + "\n"
     with pytest.raises(GridFormatError):
         parse_grid(truncated)
+    # '²'.isdigit() is true, but int() rejects it
+    with pytest.raises(GridFormatError) as ei:
+        parse_grid("linefree-grid v1\np=\u00b2 n=2 k=3\n")
+    assert ei.value.line == 2
 
 
 GRID_PINS = {

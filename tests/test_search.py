@@ -217,6 +217,10 @@ def test_config_validation():
         SearchConfig(node_budget=0)
     with pytest.raises(ValueError):
         SearchConfig(threads=0)
+    for bad in (0.0, -1.0, float("nan")):  # NaN would make a deadline that never passes
+        with pytest.raises(ValueError):
+            SearchConfig(time_budget=bad)
+    assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
     with pytest.raises(ValueError):
         max_free_exact(5, 2, 2)
 
