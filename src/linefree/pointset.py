@@ -71,7 +71,7 @@ class PointSet:
 
     @classmethod
     def from_mask(cls, space: SpaceSpec, mask: np.ndarray) -> "PointSet":
-        """The set whose bit at (c_1, ..., c_n) is mask[c_1, ..., c_n]."""
+        """The set whose bit at (c_1, ..., c_n) is mask[c_1, ..., c_n]; inverts `mask()`."""
         if mask.shape != (space.p,) * space.n:
             raise ValueError("mask must have shape (p,) * n")
         return cls(space, mask.transpose().reshape(-1))

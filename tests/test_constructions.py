@@ -202,7 +202,8 @@ def test_construction_bits_are_pinned(name):
     ids=["cube-31-4", "layered77", "sqrt97"],
 )
 def test_constructions_take_a_few_bytes_per_point(build, args):
-    # a bitmap is 1 byte per point; a p^n x n coordinate table would be 8n
+    # a bitmap is 1 byte per point, a p^n x n coordinate table 8n; the cache is
+    # cleared so that a table built by an earlier test cannot hide one
     space_tables.cache_clear()
     tracemalloc.start()
     try:
