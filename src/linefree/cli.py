@@ -41,7 +41,7 @@ from .pointset import (
     product as set_product,
     render_grid,
 )
-from .search import SearchConfig, brute_force_oracle, max_free_exact
+from .search import COUNTS, SearchConfig, brute_force_oracle, max_free_exact
 from .verifier import find_progression, verification_report
 
 EXIT_OK = 0
@@ -177,7 +177,7 @@ def cmd_search(args) -> int:
     if args.json:
         payload = res.to_dict()
         if not args.timing:
-            for key in ("elapsed", "nodes", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates"):
+            for key in ("elapsed", *COUNTS):
                 del payload[key]
         _emit_json({"command": "search", **payload})
     else:

@@ -124,19 +124,13 @@ class _SpaceTables:
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        num = p**n
         self.powers = (p ** np.arange(n, dtype=np.int64)).astype(np.int64)
-        self.coords = coords = np.arange(num, dtype=np.int64)[:, None] // self.powers % p
+        self.coords = np.arange(p**n, dtype=np.int64)[:, None] // self.powers % p
         # directions in index order: the points whose first nonzero
-        # coordinate, the pivot, is 1
-        moved = coords != 0
-        pivots = np.argmax(moved, axis=1)
-        canonical = moved.any(axis=1) & (coords[np.arange(num), pivots] == 1)
-        self.dir_vecs = coords[canonical]
-        self.dir_pivots = pivots[canonical]
-        self._dir_last = n - 1 - np.argmax(self.dir_vecs[:, ::-1] != 0, axis=1)
-        last = zip(self.dir_vecs, self._dir_last)
-        self._dir_last_inv = np.asarray([pow(int(v[j]), p - 2, p) for v, j in last])
+        # coordinate, the pivot j, is 1, that is p^j + p^(j+1)*m
+        dirs = [p**j + p ** (j + 1) * np.arange(p ** (n - 1 - j)) for j in range(n)]
+        self.dir_vecs = self.coords[np.sort(np.concatenate(dirs))]
+        self.dir_pivots = np.argmax(self.dir_vecs != 0, axis=1)
 
     def key_blocks(self, pts: np.ndarray, block: int):
         """Yield (dis, keys, pos) for blocks of at most `block` directions.
@@ -166,12 +160,6 @@ class _SpaceTables:
         start = keys % low + keys // low * (low * self.p)  # pivot coordinate 0
         moved = self.coords[start] + pos[..., None] * self.dir_vecs[dis]
         return moved % self.p @ self.powers
-
-    def line_base(self, dis, keys) -> np.ndarray:
-        """Least point index on each line (dis, keys): the point where the last
-        coordinate d moves, the most significant one that varies, is 0."""
-        c0 = self.coords[self.line_points(dis, keys, 0), self._dir_last[dis]]
-        return self.line_points(dis, keys, -c0 * self._dir_last_inv[dis] % self.p)
 
     def line_matrix(self, di: int) -> np.ndarray:
         """(p, p^{n-1}) int32 indices of the lines with direction di.

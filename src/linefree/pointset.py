@@ -246,6 +246,8 @@ def parse_grid_document(text: str) -> GridDocument:
         key, _, val = part.partition("=")
         if key not in ("p", "n", "k") or not (val.isascii() and val.isdigit()):
             raise GridFormatError(f"bad header field {part!r}", no)
+        if key in fields:
+            raise GridFormatError(f"repeated header field {key}=", no)
         fields[key] = int(val)
     if set(fields) != {"p", "n", "k"}:
         raise GridFormatError("header must set p=, n= and k=", no)
@@ -266,9 +268,10 @@ def parse_grid_document(text: str) -> GridDocument:
         if not line.strip():
             pos += 1
             continue
-        if not line.startswith("layer"):
+        parts = line.split()
+        if not line.startswith("layer") or len(parts) != 2 or parts[0] != "layer":
             raise GridFormatError(f"expected a layer block, got {line!r}", no)
-        tag = line[5:].strip()
+        tag = parts[1]
         if n <= 2:
             if tag != "-":
                 raise GridFormatError(f"n={n} layer tag must be '-'", no)

@@ -40,14 +40,14 @@ class SearchConfig:
 
     warm: optional starting incumbent (must verify k-progression-free).
 
-    threads: worker processes.  None or 1 searches in the calling
-    process.  More first runs that serial search on 2^15 nodes; only a
-    tree that outgrows them is split into at least 16 subtrees per worker
-    and searched anew by that many forked workers (POSIX).  The node and
-    time budgets hold for the whole call, and the reported set is the
-    first maximum set in depth-first order (a tie never replaces an
-    earlier set), so size and set are the same at any worker count, and
-    every count too on a tree of at most 2^15 nodes.
+    threads: worker processes.  Every search starts in the calling
+    process, on the whole node budget at None or 1 and on at most 2^15
+    nodes at more; only a tree that outgrows them is split into at least
+    16 subtrees per worker and searched anew by that many forked workers
+    (POSIX).  The node and time budgets hold for the whole call, and the
+    reported set is the first maximum set in depth-first order (a tie
+    never replaces an earlier set), so size and set are the same at any
+    worker count, and every count too on a tree of at most 2^15 nodes.
 
     fix_translation: sound symmetry breaking that pins an affine frame
     on a heaviest line.  Let C be the complement of a k-progression-free
@@ -99,12 +99,18 @@ class SearchConfig:
     fix_translation: bool = False
 
     def __post_init__(self) -> None:
-        if self.node_budget <= 0:
-            raise ValueError("node_budget must be positive")
+        # type() is int refuses floats and bools, which would fail or
+        # mislead only at search time
+        if type(self.node_budget) is not int or self.node_budget <= 0:
+            raise ValueError("node_budget must be a positive integer")
         if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ValueError("time_budget must be positive")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
+            raise ValueError("threads must be an integer of at least 1")
+
+
+# a search's counts, as named on SearchResult and _Engine, summed over subtrees
+COUNTS = ("nodes", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates")
 
 
 @dataclass(frozen=True)
@@ -525,12 +531,7 @@ class _Engine:
         = p makes min(cap - in, undec) = undec - max(0, need - out) - so
         this single O(classes) pass is the whole bound.
         """
-        extra = self.undec_total
-        if self.ws.n > 1:
-            blocking = self.undec_total - most_need
-            if blocking < extra:
-                extra = blocking
-        return extra
+        return self.undec_total - most_need if self.ws.n > 1 else self.undec_total
 
     def _pick(self, framing: bool = True) -> int:
         """The next point to decide.
@@ -646,9 +647,8 @@ def _frame_prefix(cfg: SearchConfig, p: int, n: int) -> tuple[tuple[int, int], .
     return tuple((2, q) for q in frame)
 
 
-# (best_size, best_set, exhausted,
-#  (nodes, bound_prunes, frame_prunes, orbit_prunes, line_updates))
-_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, int, int, int, int]]
+# (best_size, best_set, exhausted, the COUNTS in order)
+_TreeResult = tuple[int, tuple[int, ...] | None, bool, tuple[int, ...]]
 
 
 def _run_tree(
@@ -660,17 +660,15 @@ def _run_tree(
 ) -> _TreeResult:
     """Search one decision subtree."""
     eng = _Engine(ws, start_size, budget, framed)
-    if not eng.run_prefix(prefix):
-        return start_size, None, True, (0, 0, 0, 0, eng.line_updates)
     try:
-        eng.dfs()
+        if eng.run_prefix(prefix):
+            eng.dfs()
         exhausted = True
     except _BudgetExhausted:
         exhausted = False
     finally:
         budget.give_back(eng.grant)  # the unused part of the last grant
-    counts = (eng.nodes, eng.bound_prunes, eng.frame_prunes, eng.orbit_prunes, eng.line_updates)
-    return eng.best_size, eng.best_set, exhausted, counts
+    return eng.best_size, eng.best_set, exhausted, operator.attrgetter(*COUNTS)(eng)
 
 
 def _root_prefixes(
@@ -737,24 +735,16 @@ def _run_worker_tree(prefix: tuple[tuple[int, int], ...]) -> _TreeResult:
     return _run_tree(*_worker_args, prefix)
 
 
-def _run_workers(
+def _fork_workers(
     ws: _WindowSystem, cfg: SearchConfig, start_size: int, deadline: float | None, workers: int
 ) -> list[_TreeResult]:
-    """The serial search, or _run_tree over the root subtrees in subtree order.
+    """_run_tree over the root subtrees on forked workers, in subtree order.
 
-    The calling process first runs the serial search on _INLINE_NODES
-    nodes.  If that finishes, or the call's own node budget or deadline
-    stops it, it is the result: a small tree never pays for a pool and
-    gives exactly the serial counts.  Otherwise the attempt is dropped,
-    neither charged nor reported, and forked workers search every subtree,
-    inherit the window tables and draw the whole node budget from a shared
-    budget.  multiprocessing is imported only then, so that importing
-    linefree and a small threaded search stay as cheap as a serial search.
+    The workers inherit the window tables and draw the whole node budget
+    from a shared budget.  multiprocessing is imported only here, so that
+    importing linefree and a small threaded search stay as cheap as a
+    serial search.
     """
-    budget = _Budget(min(cfg.node_budget, _INLINE_NODES), deadline)
-    out = _run_tree(ws, cfg.fix_translation, start_size, budget, _frame_prefix(cfg, ws.p, ws.n))
-    if out[2] or cfg.node_budget <= _INLINE_NODES or deadline is not None and time.monotonic() > deadline:
-        return [out]
     import multiprocessing
 
     mp = multiprocessing.get_context("fork")
@@ -796,17 +786,25 @@ def max_free_exact(
     best_set = tuple(warm.indices().tolist())
     best_size = len(best_set)
 
-    workers = cfg.threads or 1
-    if workers > 1:
-        outs = _run_workers(ws, cfg, best_size, deadline, workers)
-    else:
-        budget = _Budget(cfg.node_budget, deadline)
-        prefix = _frame_prefix(cfg, p, n)
-        outs = [_run_tree(ws, cfg.fix_translation, best_size, budget, prefix)]
-    counts = (sum(c) for c in zip(*(o[3] for o in outs)))
-    nodes, bound_prunes, frame_prunes, orbit_prunes, line_updates = counts
-    exhausted = all(o[2] for o in outs)
-    for size, st, _, _ in outs:  # the first subtree that reaches the maximum
+    # every search starts in this process; with workers, on at most
+    # _INLINE_NODES nodes.  An attempt that spent that allowance, before
+    # the call's own budget or deadline, is dropped, neither charged nor
+    # reported, and forked workers search the whole tree.  So a small tree
+    # never pays for a pool and gives exactly the serial counts
+    workers, node_budget = cfg.threads or 1, cfg.node_budget
+    allowance = node_budget if workers == 1 else min(node_budget, _INLINE_NODES)
+    budget = _Budget(allowance, deadline)
+    prefix = _frame_prefix(cfg, p, n)
+    attempt = _run_tree(ws, cfg.fix_translation, best_size, budget, prefix)
+    stopped = not attempt[2] and allowance < node_budget
+    timed_out = deadline is not None and time.monotonic() > deadline
+    outs = [attempt]
+    if stopped and not timed_out:
+        outs = _fork_workers(ws, cfg, best_size, deadline, workers)
+    sizes, sets, finished, tallies = zip(*outs)
+    counts = dict(zip(COUNTS, map(sum, zip(*tallies))))
+    exhausted = all(finished)
+    for size, st in zip(sizes, sets):  # the first subtree that reaches the maximum
         if size > best_size:
             best_size, best_set = size, st
 
@@ -819,12 +817,8 @@ def max_free_exact(
         best=best,
         size=best_size,
         optimal=exhausted,
-        nodes=nodes,
         elapsed=time.monotonic() - t0,
-        bound_prunes=bound_prunes,
-        frame_prunes=frame_prunes,
-        orbit_prunes=orbit_prunes,
-        line_updates=line_updates,
+        **counts,
     )
 
 
@@ -837,13 +831,7 @@ def heuristic_lower(
     the returned set is always at least the warm start (or the default
     box) and verified progression-free.
     """
-    if cfg is None:
-        merged = dict(node_budget=2_000_000)
-        merged.update(overrides)
-        cfg = SearchConfig(**merged)
-    elif overrides:
-        cfg = replace(cfg, **overrides)
-    return max_free_exact(p, n, k, cfg)
+    return max_free_exact(p, n, k, cfg or SearchConfig(node_budget=2_000_000), **overrides)
 
 
 @lru_cache(maxsize=None)

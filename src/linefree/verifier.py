@@ -79,7 +79,8 @@ def find_progression(s: PointSet, k: int | None = None) -> ProgressionWitness | 
             b, key = np.divmod(np.flatnonzero(counts == p), counts.shape[1])
             if b.size:
                 steps = t.dir_vecs[dis[b]] @ t.powers
-                best = int((t.line_base(dis[b], key) * num + steps).min(initial=best))
+                bases = t.line_points(dis[b], key, np.arange(p)[:, None]).min(axis=0)
+                best = int((bases * num + steps).min(initial=best))
     else:
         lines = num // p
         for dis, keys, pos in t.key_blocks(s.indices(), max(1, _BLOCK // num)):

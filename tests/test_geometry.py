@@ -113,13 +113,20 @@ def test_incidence_index_consistent(p, n):
 
 
 @pytest.mark.parametrize("p,n", SPACES)
-def test_line_base_is_column_minimum(p, n):
+def test_line_points_broadcast_to_the_line_matrix(p, n):
     space = SpaceSpec(p, n)
     t = space_tables(p, n)
     keys = np.arange(p ** (n - 1))
     for di, mat in enumerate(line_columns(space)):
-        assert (t.line_base(di, keys) == mat.min(axis=0)).all()
         assert (t.line_points(di, keys, np.arange(p)[:, None]) == mat).all()
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_directions_are_the_canonical_vectors_in_index_order(p, n):
+    # line numbering in the search and plane_profile's class order rest on it
+    space = SpaceSpec(p, n)
+    pts = [index_point(space, i) for i in range(1, space.num_points)]
+    assert directions(space) == [v for v in pts if canonical_direction(space, v) == v]
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2)])

@@ -139,6 +139,15 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GridFormatError) as ei:
         parse_grid("linefree-grid v1\np=\u00b2 n=2 k=3\n")
     assert ei.value.line == 2
+    # a repeated field is refused, not overwritten by the last one
+    with pytest.raises(GridFormatError) as ei:
+        parse_grid("linefree-grid v1\np=5 n=2 k=3 p=3\n")
+    assert ei.value.line == 2
+    # a layer line is `layer <tag>`, with nothing glued to the word
+    for glued in ("layer0", "layer-"):
+        with pytest.raises(GridFormatError) as ei:
+            parse_grid(good.replace("layer -", glued))
+        assert ei.value.line == 4
 
 
 GRID_PINS = {

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,13 @@ def test_config_validation():
         SearchConfig(node_budget=0)
     with pytest.raises(ValueError):
         SearchConfig(threads=0)
+    # a float or bool budget or thread count is refused here, not at search time
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            SearchConfig(node_budget=bad)
+        with pytest.raises(ValueError):
+            SearchConfig(threads=bad)
+    assert SearchConfig(threads=None).threads is None
     for bad in (0.0, -1.0, float("nan")):  # NaN would make a deadline that never passes
         with pytest.raises(ValueError):
             SearchConfig(time_budget=bad)
@@ -256,7 +264,7 @@ FRAMED_ONLY = [(7, 2, 3, 10), (7, 2, 7, 36)]
 
 
 def _counts(r) -> tuple[int, ...]:
-    return (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, r.line_updates)
+    return tuple(getattr(r, c) for c in search.COUNTS)
 
 
 @pytest.mark.parametrize(
@@ -769,6 +777,24 @@ def test_node_budget_holds_across_the_handover(monkeypatch, threads, budget, inl
 
 
 # --- heuristic mode ---------------------------------------------------------------
+
+
+def test_heuristic_lower_budget_defaults_and_overrides(monkeypatch):
+    # the configs max_free_exact would run, captured without a search
+    seen = []
+
+    def capture(p, n, k, cfg, **overrides):
+        seen.append(replace(cfg, **overrides))
+
+    monkeypatch.setattr(search, "max_free_exact", capture)
+    heuristic_lower(5, 3)
+    heuristic_lower(5, 3, threads=2)
+    heuristic_lower(5, 3, cfg=SearchConfig(node_budget=7, fix_translation=True), threads=2)
+    assert seen == [
+        SearchConfig(node_budget=2_000_000),
+        SearchConfig(node_budget=2_000_000, threads=2),
+        SearchConfig(node_budget=7, threads=2, fix_translation=True),
+    ]
 
 
 def test_heuristic_lower_returns_verified_free_set():
