@@ -48,9 +48,7 @@ from .bounds import (
     CubicBound,
     Rate,
     RateTable,
-    RecursiveBound,
     RootExpression,
-    SimpleBounds,
     alpha_fgr,
     alpha_from_set,
     best_lower,

@@ -4,9 +4,14 @@ Lower bounds come from one catalogue: catalogue(p, n) lists the named
 constructions that apply at (p, n) (hypercube, layered, sqrt, qr and the
 bundled 70-point set), each with its report key, best_lower label,
 closed-form size, note and builder.  Reports and best_lower read it;
-construction(family, p, n) finds one entry by name for the size
-functions and `linefree construct`.  One pass over dimensions finds both
-the best bound and the best product of two smaller dimensions.
+construction(family, p, n) finds one entry by name, and its .size is a
+family's closed-form size (table1 and `linefree construct` read it so).
+One pass over dimensions finds both the best bound and the best product
+of two smaller dimensions.
+
+Upper bounds are returned as values: upper_simple gives the pair
+(ap, sziklai), upper_recursive a RootExpression, and upper_cubic the
+exact and simplified cubic bounds as two RootExpressions.
 
 All integer bounds are exact.  Bounds involving square roots are carried
 as integer triples (a - sqrt(radicand)) / den and rendered with directed
@@ -28,6 +33,7 @@ from .search import one_dim_cap
 
 
 def _milli_str(milli: int) -> str:
+    """milli thousandths as a decimal with 3 places."""
     sign = "-" if milli < 0 else ""
     m = abs(milli)
     return f"{sign}{m // 1000}.{m % 1000:03d}"
@@ -60,21 +66,14 @@ class RootExpression:
     def floor(self) -> int:
         return self.scaled_floor(1)[0]
 
-    def decimal_up(self, places: int = 3) -> str:
-        scale = 10**places
-        fl, exact = self.scaled_floor(scale)
-        n = fl if exact else fl + 1
-        sign = "-" if n < 0 else ""
-        n = abs(n)
-        return f"{sign}{n // scale}.{n % scale:0{places}d}"
-
-class SimpleBounds(NamedTuple):
-    ap: int
-    sziklai: int
+    def decimal_up(self) -> str:
+        """The value rounded up to 3 decimals."""
+        fl, exact = self.scaled_floor(1000)
+        return _milli_str(fl if exact else fl + 1)
 
 
-def upper_simple(p: int, n: int) -> SimpleBounds:
-    """Two classical upper bounds for sets with no full line.
+def upper_simple(p: int, n: int) -> tuple[int, int]:
+    """(ap, sziklai): two classical upper bounds for sets with no full line.
 
     ap: the complement must meet every line, and a minimal line-blocking
     set has (p^n - 1)/(p - 1) points.  sziklai: a stronger blocking-set
@@ -82,11 +81,10 @@ def upper_simple(p: int, n: int) -> SimpleBounds:
     """
     require_space(p, n)
     pn = p**n
-    return SimpleBounds(pn - (pn - 1) // (p - 1), pn - 2 * p ** (n - 1) + 1)
+    return pn - (pn - 1) // (p - 1), pn - 2 * p ** (n - 1) + 1
 
 
-@dataclass(frozen=True)
-class RecursiveBound:
+def upper_recursive(p: int, n: int, k: int, r: int) -> RootExpression:
     """Upper bound on r_k(F_p^(n+1)) from r_k(F_p^n) <= r.
 
     Counting (point pair, hyperplane) incidences two ways pins the next
@@ -94,29 +92,6 @@ class RecursiveBound:
     (a - sqrt(radicand)) / den with a = 2(p^(n+1)-1)r + p^n,
     radicand = 4(p^(n+1)-1)r(p^n-r) + p^(2n), den = 2p^n.
     """
-
-    p: int
-    n: int
-    k: int
-    r: int
-    expr: RootExpression
-
-    @property
-    def floor(self) -> int:
-        return self.expr.floor
-
-    @property
-    def decimal_up(self) -> str:
-        return self.expr.decimal_up(3)
-
-    @property
-    def pair_incidences(self) -> int:
-        """(pair, hyperplane) incidence count s at the floor value."""
-        return (self.p**self.n - 1) // (self.p - 1) * comb(self.floor, 2)
-
-
-def upper_recursive(p: int, n: int, k: int, r: int) -> RecursiveBound:
-    """Bound r_k(F_p^(n+1)) given r_k(F_p^n) <= r."""
     require_space(p, n)
     require_k(p, k)
     pn = p**n
@@ -125,7 +100,7 @@ def upper_recursive(p: int, n: int, k: int, r: int) -> RecursiveBound:
     big = p ** (n + 1) - 1
     a = 2 * big * r + pn
     radicand = 4 * big * r * (pn - r) + pn * pn
-    return RecursiveBound(p=p, n=n, k=k, r=r, expr=RootExpression(a, radicand, 2 * pn))
+    return RootExpression(a, radicand, 2 * pn)
 
 
 def cubic_displayed_radicand(p: int) -> int:
@@ -144,26 +119,13 @@ class CubicBound:
     simplified: p^3 - 2p^2 - (sqrt(2)-1)p + 2, always >= exact for p >= 3.
     """
 
-    p: int
-    exact: RecursiveBound
-
-    @property
-    def simplified(self) -> RootExpression:
-        p = self.p
-        return RootExpression(p**3 - 2 * p**2 + p + 2, 2 * p**2, 1)
-
-    @property
-    def simplified_decimal_up(self) -> str:
-        return self.simplified.decimal_up(3)
-
-    @property
-    def simplified_floor(self) -> int:
-        return self.simplified.floor
+    exact: RootExpression
+    simplified: RootExpression
 
     def exact_below_simplified(self) -> bool:
         """Check exact <= simplified via non-overlapping scaled brackets."""
         scale = 1 << 61
-        ex_hi = self.exact.expr.scaled_floor(scale)[0] + 1
+        ex_hi = self.exact.scaled_floor(scale)[0] + 1
         return ex_hi <= self.simplified.scaled_floor(scale)[0]
 
 
@@ -171,9 +133,9 @@ def upper_cubic(p: int) -> CubicBound:
     require_odd_prime(p)
     exact = upper_recursive(p, 2, p, (p - 1) ** 2)
     displayed = cubic_displayed_radicand(p)
-    if exact.expr.radicand != displayed:
+    if exact.radicand != displayed:
         raise AssertionError("cubic radicand mismatch; algebra drifted")
-    return CubicBound(p=p, exact=exact)
+    return CubicBound(exact, RootExpression(p**3 - 2 * p**2 + p + 2, 2 * p**2, 1))
 
 
 class Construction(NamedTuple):
@@ -227,25 +189,8 @@ def construction(family: str, p: int, n: int) -> Construction:
     raise ValueError(f"the {family} construction does not apply at p={p}, n={n}")
 
 
-def hypercube_size(p: int, n: int) -> int:
-    return construction("hypercube", p, n).size
-
-
-def layered_size(p: int, n: int) -> int:
-    return construction("layered", p, n).size
-
-
-def sqrt_size(p: int) -> int:
-    return construction("sqrt", p, 3).size
-
-
-def qr_size(p: int) -> int:
-    return construction("qr", p, 3).size
-
-
 @dataclass(frozen=True)
 class LowerEntry:
-    name: str
     size: int
     note: str
     backed: bool  # True when an actual set was materialized and measured
@@ -268,15 +213,15 @@ def lower_closed_forms(p: int, n: int) -> dict[str, LowerEntry]:
     for c in catalogue(p, n):
         if not small:
             note = c.note + " (closed form; set not materialized)"
-            out[c.key] = LowerEntry(c.key, c.size, note, False)
+            out[c.key] = LowerEntry(c.size, note, False)
             continue
         size = c.build().size
         if size != c.size:
             raise AssertionError(f"{c.key} size {size} differs from closed form {c.size}")
-        out[c.key] = LowerEntry(c.key, size, c.note, True)
+        out[c.key] = LowerEntry(size, c.note, True)
     product = _best_lowers(p, n)[1]
     if product is not None:
-        out["product"] = LowerEntry("product", *product, False)
+        out["product"] = LowerEntry(*product, False)
     return out
 
 
@@ -316,14 +261,14 @@ class Rate:
         return _milli_str(self.milli)
 
 
-def _trunc_nth_root_milli(value: int, n: int, scale: int = 1000) -> int:
-    """Largest N with (N/scale)^n <= value, i.e. trunc(value^(1/n)*scale).
+def _trunc_nth_root_milli(value: int, n: int) -> int:
+    """Largest N with (N/1000)^n <= value, i.e. trunc(value^(1/n)*1000).
 
     Integer bisection, so no value is too large for a float.
     """
     if value < 0 or n < 1:
         raise ValueError("need value >= 0 and n >= 1")
-    target = value * scale**n
+    target = value * 1000**n
     lo, hi = 0, 1 << -(-target.bit_length() // n)  # lo^n <= target < hi^n
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -361,47 +306,32 @@ def alpha_fgr(p: int) -> Rate:
 
 
 @dataclass(frozen=True)
-class Table1Entry:
-    p: int
-    n: int
-    milli: int
-    dominated: bool
-
-    @property
-    def display(self) -> str:
-        return _milli_str(self.milli)
-
-
-@dataclass(frozen=True)
 class RateTable:
     ps: tuple[int, ...]
     ns: tuple[int, ...]
-    entries: dict[tuple[int, int], Table1Entry]
+    milli: dict[tuple[int, int], int]  # truncated layered rate per (p, n)
+    dominated: frozenset[tuple[int, int]]
     fgr: dict[int, Rate]
-
-    def entry(self, p: int, n: int) -> Table1Entry:
-        return self.entries[(p, n)]
 
 
 def table1(ps: tuple[int, ...] = (5, 7, 11, 13, 17), ns: tuple[int, ...] = (3, 4, 5, 6, 7)) -> RateTable:
     """Layered-construction rates per (p, n), plus the general-p row.
 
-    An entry is flagged dominated when some smaller listed dimension
-    achieves a rate at least as large (exact comparison of true rates:
+    (p, n) is dominated when some smaller listed dimension achieves a
+    rate at least as large (exact comparison of true rates:
     size(n')^n >= size(n)^(n'), not of the truncated displays).
     """
-    entries: dict[tuple[int, int], Table1Entry] = {}
+    milli: dict[tuple[int, int], int] = {}
+    dominated: set[tuple[int, int]] = set()
     for p in ps:
-        sizes = {n: layered_size(p, n) for n in ns}
+        sizes = {n: construction("layered", p, n).size for n in ns}
         for n in ns:
-            dominated = any(
-                sizes[m] ** n >= sizes[n] ** m for m in ns if m < n
-            )
-            entries[(p, n)] = Table1Entry(
-                p=p, n=n, milli=_trunc_nth_root_milli(sizes[n], n), dominated=dominated
-            )
+            milli[(p, n)] = _trunc_nth_root_milli(sizes[n], n)
+            if any(sizes[m] ** n >= sizes[n] ** m for m in ns if m < n):
+                dominated.add((p, n))
     return RateTable(
-        ps=tuple(ps), ns=tuple(ns), entries=entries, fgr={p: alpha_fgr(p) for p in ps}
+        ps=tuple(ps), ns=tuple(ns), milli=milli, dominated=frozenset(dominated),
+        fgr={p: alpha_fgr(p) for p in ps},
     )
 
 
@@ -504,31 +434,30 @@ def bounds_report(
     else:
         dim, r = 1, one_dim_cap(p, k)
         chain_note = f"recursive chain from exact 1-d value r_{k} = {r}"
-        lower = {"box": LowerEntry("box", (k - 1) ** n, f"(k-1)^{n}", False)}
+        lower = {"box": LowerEntry((k - 1) ** n, f"(k-1)^{n}", False)}
         if n == 1:
-            lower["exact"] = LowerEntry("exact", r, "exact 1-d maximum", True)
+            lower["exact"] = LowerEntry(r, "exact 1-d maximum", True)
             upper["exact"] = r
         elif r > k - 1:
-            lower["cyclic-product"] = LowerEntry(
-                "cyclic-product", r**n, f"{r}^{n} from the 1-d maximum", False
-            )
+            lower["cyclic-product"] = LowerEntry(r**n, f"{r}^{n} from the 1-d maximum", False)
 
     if dim < n:
         for d in range(dim, n):
             last = upper_recursive(p, d, k, r)
             r = last.floor
         upper["recursive"] = last.floor
-        upper_real["recursive"] = last.decimal_up
+        upper_real["recursive"] = last.decimal_up()
         if k == p:
-            chain_note += f"; pair-plane incidence count s = {last.pair_incidences} at the floor"
+            pairs = (p ** (n - 1) - 1) // (p - 1) * comb(r, 2)
+            chain_note += f"; pair-plane incidence count s = {pairs} at the floor"
         notes.append(chain_note)
 
     if k == p:
         if n == 3:
             cb = upper_cubic(p)
             upper["cubic"] = cb.exact.floor
-            upper_real["cubic"] = cb.exact.decimal_up
-            upper_real["cubic_simplified"] = cb.simplified_decimal_up
+            upper_real["cubic"] = cb.exact.decimal_up()
+            upper_real["cubic_simplified"] = cb.simplified.decimal_up()
         if include_certified and n == 3:
             if p in DEFAULT_SUBPLANE_TABLE:
                 res = certified_upper(p, min(upper.values()), max_steps=2)

@@ -157,24 +157,15 @@ class ExclusionInstance:
         )
 
 
-def make_instance(
-    p: int,
-    target: int,
-    *,
-    plane_cap: int | None = None,
-    sub_cap: int | None = None,
-) -> ExclusionInstance:
-    """Build an instance, defaulting the plane maxima from the built-in table."""
-    if plane_cap is None or sub_cap is None:
-        if p not in DEFAULT_SUBPLANE_TABLE:
-            raise ValueError(
-                f"no built-in plane maxima for p={p}; pass plane_cap and sub_cap "
-                "(they must be the exact plane values for the argument to be sound)"
-            )
-        d_cap, d_sub = DEFAULT_SUBPLANE_TABLE[p]
-        plane_cap = d_cap if plane_cap is None else plane_cap
-        sub_cap = d_sub if sub_cap is None else sub_cap
-    return ExclusionInstance(p=p, target=target, plane_cap=plane_cap, sub_cap=sub_cap)
+def make_instance(p: int, target: int) -> ExclusionInstance:
+    """The instance with the plane maxima of the built-in table."""
+    if p not in DEFAULT_SUBPLANE_TABLE:
+        raise ValueError(
+            f"no built-in plane maxima for p={p}; build an ExclusionInstance with "
+            "plane_cap and sub_cap (they must be the exact plane values for the "
+            "argument to be sound)"
+        )
+    return ExclusionInstance(p, target, *DEFAULT_SUBPLANE_TABLE[p])
 
 
 def _multisets(
@@ -578,7 +569,6 @@ class Certificate:
     cap_notes: tuple[str, ...]
     candidates: np.ndarray  # (count, ndists) int32, colex ascending
     margins: np.ndarray  # (count,) int64; refuted where > 0
-    witness_index: int | None  # first non-refuted candidate, if any
 
     @property
     def candidate_count(self) -> int:
@@ -590,9 +580,11 @@ class Certificate:
 
     @property
     def witness(self) -> tuple[int, ...] | None:
-        if self.witness_index is None:
+        """The first candidate that no refutation rules out, if any."""
+        survivors = np.flatnonzero(self.margins <= 0)
+        if survivors.size == 0:
             return None
-        return tuple(int(v) for v in self.candidates[self.witness_index])
+        return tuple(int(v) for v in self.candidates[survivors[0]])
 
     @property
     def digest(self) -> str:
@@ -723,7 +715,7 @@ def prove_infeasible(
     los, caps, notes = (
         rich_count_bounds(inst, paper_faithful=paper_faithful) if dists else ({}, {}, [])
     )
-    verdict, reason, weights, candidates, margins, witness_index = _decide(
+    verdict, reason, weights, candidates, margins = _decide(
         inst, dists, coeffs, los, caps, max_nodes
     )
     return Certificate(
@@ -740,7 +732,6 @@ def prove_infeasible(
         cap_notes=tuple(notes),
         candidates=candidates,
         margins=margins,
-        witness_index=witness_index,
     )
 
 
@@ -761,17 +752,17 @@ def _decide(
     los: dict[int, int],
     caps: dict[int, int],
     max_nodes: int,
-) -> tuple[str, str, dict[int, int] | None, np.ndarray, np.ndarray, int | None]:
-    """(verdict, reason, weights, candidates, margins, witness_index)."""
+) -> tuple[str, str, dict[int, int] | None, np.ndarray, np.ndarray]:
+    """(verdict, reason, weights, candidates, margins)."""
     p, t = inst.p, inst.target
     no_rows = np.zeros((0, len(dists)), dtype=np.int32)
     no_margins = np.zeros(0, dtype=np.int64)
     if t > p * inst.plane_cap:
         reason = f"pigeonhole: target {t} exceeds p * plane_cap = {p * inst.plane_cap}"
-        return INFEASIBLE, reason, None, no_rows, no_margins, None
+        return INFEASIBLE, reason, None, no_rows, no_margins
     if not dists:
         reason = "no multiset of allowed plane sizes attains the target"
-        return INFEASIBLE, reason, None, no_rows, no_margins, None
+        return INFEASIBLE, reason, None, no_rows, no_margins
 
     weights = None  # without a rich pencil, margins use raw lower bounds
     if rich_pencil_multisets(inst):
@@ -779,7 +770,7 @@ def _decide(
             weights = null_weights(inst)
         except NullSpaceError as e:
             reason = f"rich-pencil null space has dimension {e.dimension}, need 1"
-            return UNKNOWN, reason, None, no_rows, no_margins, None
+            return UNKNOWN, reason, None, no_rows, no_margins
 
     candidates, truncated = _enumerate_candidates(
         coeffs, inst.num_classes, inst.pair_rhs, MAX_CANDIDATES, max_nodes
@@ -789,7 +780,7 @@ def _decide(
             f"enumeration budget exhausted (max_candidates={MAX_CANDIDATES}, "
             f"max_nodes={max_nodes})"
         )
-        return UNKNOWN, reason, weights, no_rows, no_margins, None
+        return UNKNOWN, reason, weights, no_rows, no_margins
 
     # the class count comes first: the products' dtype relies on it
     if candidates.size and candidates.min() < 0:
@@ -803,12 +794,11 @@ def _decide(
         raise AssertionError("enumeration produced a vector violating the pair count")
 
     margins = (rows @ margin_coeffs.astype(dtype)).astype(np.int64)
-    not_refuted = np.flatnonzero(margins <= 0)
     if candidates.shape[0] == 0:
         reason = "no assignment of distributions to classes meets the pair count"
-        return INFEASIBLE, reason, weights, candidates, margins, None
-    if not_refuted.size == 0:
+        return INFEASIBLE, reason, weights, candidates, margins
+    if (margins > 0).all():
         reason = "every candidate assignment is refuted by the rich-line inequality"
-        return INFEASIBLE, reason, weights, candidates, margins, None
+        return INFEASIBLE, reason, weights, candidates, margins
     reason = "a candidate assignment survives all refutations"
-    return UNKNOWN, reason, weights, candidates, margins, int(not_refuted[0])
+    return UNKNOWN, reason, weights, candidates, margins

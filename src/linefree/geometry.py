@@ -92,6 +92,8 @@ def point_index(space: SpaceSpec, point: tuple[int, ...]) -> int:
         raise ValueError(f"point has {len(point)} coordinates, expected {space.n}")
     idx = 0
     for c in reversed(point):
+        if not isinstance(c, (int, np.integer)):
+            raise ValueError(f"coordinate {c!r} is not an integer")
         if not 0 <= c < space.p:
             raise ValueError(f"coordinate {c} out of range for p={space.p}")
         idx = idx * space.p + c

@@ -58,12 +58,18 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, space: SpaceSpec, indices: Iterable[int]) -> "PointSet":
-        """The set of the given point indices; an ndarray is read as it is."""
+        """The set of the given point indices; an ndarray is read as it is.
+
+        Indices must be integers: a float or bool array is refused, not
+        truncated or read as 0 and 1.
+        """
         if not isinstance(indices, np.ndarray):
             indices = list(indices)
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         bits = np.zeros(space.num_points, dtype=np.bool_)
         if idx.size:
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"point indices must be integers, got dtype {idx.dtype}")
             if idx.min() < 0 or idx.max() >= space.num_points:
                 raise ValueError("point index out of range")
             bits[idx] = True
@@ -173,8 +179,10 @@ def apply_affine(s: PointSet, matrix: Sequence[Sequence[int]], shift: Sequence[i
     """Image of S under x -> M x + v with M invertible over F_p."""
     space = s.space
     p, n = space.p, space.n
-    m = np.asarray(matrix, dtype=np.int64) % p
-    v = np.asarray(shift, dtype=np.int64) % p
+    m, v = np.asarray(matrix), np.asarray(shift)
+    if m.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+        raise ValueError("the matrix and shift must be integers")
+    m, v = m.astype(np.int64) % p, v.astype(np.int64) % p
     if m.shape != (n, n) or v.shape != (n,):
         raise ValueError(f"need a {n}x{n} matrix and length-{n} shift")
     if det_mod(m.tolist(), p) == 0:

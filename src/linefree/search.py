@@ -99,12 +99,14 @@ class SearchConfig:
     fix_translation: bool = False
 
     def __post_init__(self) -> None:
-        # type() is int refuses floats and bools, which would fail or
-        # mislead only at search time
+        # type() is int refuses floats and bools, and type() in (int, float)
+        # bools and strings, which would fail or mislead only at search time
         if type(self.node_budget) is not int or self.node_budget <= 0:
             raise ValueError("node_budget must be a positive integer")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
-            raise ValueError("time_budget must be positive")
+        if self.time_budget is not None and (
+            type(self.time_budget) not in (int, float) or not self.time_budget > 0  # NaN too
+        ):
+            raise ValueError("time_budget must be a positive number of seconds")
         if self.threads is not None and (type(self.threads) is not int or self.threads < 1):
             raise ValueError("threads must be an integer of at least 1")
 

@@ -18,10 +18,7 @@ from linefree.bounds import (
     alpha_fgr,
     alpha_from_set,
     bounds_report,
-    hypercube_size,
-    layered_size,
-    qr_size,
-    sqrt_size,
+    construction,
     table1,
     upper_recursive,
     upper_simple,
@@ -67,13 +64,13 @@ def test_criterion_1_constructions_free_and_sized():
     t0 = time.monotonic()
     for p, n in CONSTRUCTION_MATRIX:
         families = {
-            ("hypercube", hypercube_size(p, n)): hypercube(p, n),
-            ("layered", layered_size(p, n)): layered(p, n),
+            ("hypercube", construction("hypercube", p, n).size): hypercube(p, n),
+            ("layered", construction("layered", p, n).size): layered(p, n),
         }
         if n == 3:
-            families[("sqrt", sqrt_size(p))] = sqrt_construction(p)
+            families[("sqrt", construction("sqrt", p, 3).size)] = sqrt_construction(p)
         if n == 3 and p % 24 == 7:
-            families[("qr", qr_size(p))] = qr_construction(p)
+            families[("qr", construction("qr", p, 3).size)] = qr_construction(p)
         for (name, want_size), s in families.items():
             assert s.size == want_size, (name, p, n)
             assert find_progression(s, p) is None, (name, p, n)
@@ -269,8 +266,8 @@ def test_criterion_5_rate_table_reproduction():
     t = table1()
     for n, row in TABLE1_MILLI.items():
         for p, milli in zip(t.ps, row):
-            assert t.entry(p, n).milli == milli, (p, n)
-            assert t.entry(p, n).dominated == ((p, n) in GREY), (p, n)
+            assert t.milli[(p, n)] == milli, (p, n)
+            assert ((p, n) in t.dominated) == ((p, n) in GREY), (p, n)
 
 
 # --- criterion 6: per-plane line-count bounds ------------------------------------

@@ -67,7 +67,7 @@ def test_upper_recursive_floors(p, n, k, r, floor):
 
 
 def test_upper_recursive_decimals():
-    assert upper_recursive(5, 2, 5, 16).decimal_up == "74.492"
+    assert upper_recursive(5, 2, 5, 16).decimal_up() == "74.492"
 
 
 def test_upper_recursive_validation():
@@ -83,9 +83,8 @@ def test_recursive_quadratic_root_is_consistent():
     # The floor value f must satisfy the defining quadratic inequality
     # den/2 * f^2 - a*f + (a^2 - radicand)/4/den <= 0  at the root scale;
     # equivalently f <= (a - sqrt(radicand)) / den < f + 1.
-    b = upper_recursive(5, 2, 5, 16)
-    e = b.expr
-    f = b.floor
+    e = upper_recursive(5, 2, 5, 16)
+    f = e.floor
     # (a - den*f)^2 >= radicand  and  (a - den*(f+1))^2 < radicand
     assert (e.a - e.den * f) ** 2 >= e.radicand
     assert (e.a - e.den * (f + 1)) ** 2 < e.radicand
@@ -95,17 +94,17 @@ def test_recursive_quadratic_root_is_consistent():
 def test_cubic_bound_consistency(p):
     cb = upper_cubic(p)
     assert isinstance(cb, CubicBound)
-    assert cb.exact.expr.radicand == cubic_displayed_radicand(p)
+    assert cb.exact.radicand == cubic_displayed_radicand(p)
     assert cb.exact_below_simplified()
-    assert cb.simplified_floor >= cb.exact.floor
+    assert cb.simplified.floor >= cb.exact.floor
 
 
 def test_cubic_pins_for_p5():
     cb = upper_cubic(5)
     assert cb.exact.floor == 74
-    assert cb.exact.decimal_up == "74.492"
-    assert cb.simplified_decimal_up == "74.929"
-    assert cb.simplified_floor == 74
+    assert cb.exact.decimal_up() == "74.492"
+    assert cb.simplified.decimal_up() == "74.929"
+    assert cb.simplified.floor == 74
 
 
 def test_upper_simple_pins():
@@ -196,9 +195,8 @@ def test_table1_full_grid():
     assert t.ps == (5, 7, 11, 13, 17) and t.ns == (3, 4, 5, 6, 7)
     for n, row in TABLE1_MILLI.items():
         for p, milli in zip(t.ps, row):
-            e = t.entry(p, n)
-            assert e.milli == milli, (p, n)
-            assert e.dominated == ((p, n) in DOMINATED), (p, n)
+            assert t.milli[(p, n)] == milli, (p, n)
+            assert ((p, n) in t.dominated) == ((p, n) in DOMINATED), (p, n)
     assert {p: t.fgr[p].milli for p in t.ps} == {
         5: 4090,
         7: 6066,
@@ -212,12 +210,12 @@ def test_dominance_uses_exact_rate_comparison():
     # (5,5) is dominated by dimension 4 (268^5 >= 1078^4) even though its
     # truncated display ties (5,3)'s; the n=3 comparison alone would not
     # flag it (66^5 < 1078^3), so the flag must use exact arithmetic.
-    from linefree.bounds import layered_size
+    from linefree.bounds import construction
 
-    assert 268**5 >= layered_size(5, 5) ** 4
-    assert 66**5 < layered_size(5, 5) ** 3
+    assert 268**5 >= construction("layered", 5, 5).size ** 4
+    assert 66**5 < construction("layered", 5, 5).size ** 3
     t = table1()
-    assert t.entry(5, 5).dominated and not t.entry(5, 3).dominated
+    assert (5, 5) in t.dominated and (5, 3) not in t.dominated
 
 
 # --- certified bounds and reports -------------------------------------------
@@ -319,7 +317,7 @@ def test_cubic_simplified_bound_is_pinned_for_every_prime_below_2000():
     rows = []
     for p in filter(is_prime, range(3, 2000)):
         cb = upper_cubic(p)
-        rows.append([p, cb.simplified_decimal_up, cb.simplified_floor, cb.exact_below_simplified()])
+        rows.append([p, cb.simplified.decimal_up(), cb.simplified.floor, cb.exact_below_simplified()])
     assert len(rows) == 302
     got = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert got == "1df5c345f7e669b19687d72c612009a00706cd98549a72b66ca13fac69d96f22"

@@ -162,10 +162,37 @@ def test_pigeonhole_shortcut():
 
 
 def test_unknown_prime_requires_explicit_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ExclusionInstance"):
         make_instance(11, 900)
-    inst = make_instance(11, 1300, plane_cap=100, sub_cap=90)
+    inst = ExclusionInstance(11, 1300, plane_cap=100, sub_cap=90)
     assert inst.plane_cap == 100
+
+
+@pytest.mark.parametrize(
+    "caps, verdict, reason, count, witness, digest",
+    [
+        (
+            (5, 8, 4, 3), UNKNOWN, "a candidate assignment survives all refutations",
+            4729, (0, 13, 18, 0, 0, 0),
+            "14e245a3c349c557b7169ba6d950e31adeedcd525b7463522a6ac0c54586966c",
+        ),
+        (
+            (5, 77, 16, 16), INFEASIBLE,
+            "no assignment of distributions to classes meets the pair count", 0, None,
+            "5d3c800c449da6bf8e978a58989e3982991f75b1132a255d6549f5933ce9b9dd",
+        ),
+    ],
+    ids=["5-8-unknown", "5-77-infeasible"],
+)
+def test_explicit_caps_without_rich_pencils_are_pinned(caps, verdict, reason, count, witness, digest):
+    # no rich pencil, so the margins come from the raw rich-line lower bounds
+    inst = ExclusionInstance(*caps)
+    assert rich_pencil_multisets(inst) == ()
+    cert = prove_infeasible(inst)
+    assert (cert.verdict, cert.reason, cert.weights) == (verdict, reason, None)
+    assert cert.candidate_count == count and cert.refuted_count == 0
+    assert cert.witness == witness
+    assert cert.digest == digest
 
 
 # --- replay, digests, and serialization ---------------------------------------

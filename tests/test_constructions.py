@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linefree.bounds import hypercube_size, layered_size, qr_size, sqrt_size
+from linefree.bounds import construction
 from linefree.constructions import (
     box,
     hypercube,
@@ -30,7 +30,7 @@ from linefree.verifier import find_progression
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (5, 3), (7, 2), (7, 3)])
 def test_hypercube_size_and_freeness(p, n):
     s = hypercube(p, n)
-    assert s.size == (p - 1) ** n == hypercube_size(p, n)
+    assert s.size == (p - 1) ** n == construction("hypercube", p, n).size
     assert find_progression(s) is None
 
 
@@ -69,7 +69,7 @@ def test_full_hypercube_plus_far_corner_has_full_line():
 )
 def test_layered_sizes(p, n, size):
     s = layered(p, n)
-    assert s.size == size == layered_size(p, n)
+    assert s.size == size == construction("layered", p, n).size
 
 
 @pytest.mark.parametrize("p,n", [(5, 3), (5, 4), (7, 3)])
@@ -98,7 +98,7 @@ def test_sqrt_params():
 @pytest.mark.parametrize("p,size", [(5, 65), (7, 218), (11, 1005)])
 def test_sqrt_sizes_and_freeness(p, size):
     s = sqrt_construction(p)
-    assert s.size == size == sqrt_size(p)
+    assert s.size == size == construction("sqrt", p, 3).size
     assert find_progression(s) is None
 
 
@@ -125,13 +125,13 @@ def test_qr_requires_7_mod_24():
 
 def test_qr7_size_and_freeness():
     s = qr_construction(7)
-    assert s.size == 225 == qr_size(7)
+    assert s.size == 225 == construction("qr", 7, 3).size
     assert find_progression(s) is None
 
 
 def test_qr31_size_and_freeness():
     s = qr_construction(31)
-    assert s.size == 27030 == qr_size(31)
+    assert s.size == 27030 == construction("qr", 31, 3).size
     assert find_progression(s) is None
 
 

@@ -47,7 +47,11 @@ def test_from_indices_accepts_arrays_lists_generators_and_empty():
 
 def test_from_indices_range_checks_and_does_not_alias():
     space = SpaceSpec(5, 2)
-    for bad in ([-1], [25], np.array([3, -1]), np.array([0, 25])):
+    # a bool mask is not read as the indices 0 and 1, nor a float truncated
+    for bad in (
+        [-1], [25], np.array([3, -1]), np.array([0, 25]),
+        np.array([True, False, True]), np.array([1.7, 2.2]), [1.5],
+    ):
         with pytest.raises(ValueError):
             PointSet.from_indices(space, bad)
     idx = np.array([1, 2])
@@ -56,6 +60,19 @@ def test_from_indices_range_checks_and_does_not_alias():
     assert s == PointSet.from_indices(space, [1, 2])
     assert not np.shares_memory(s.bits, idx)
     assert not s.bits.flags.writeable
+
+
+def test_non_integer_coordinates_and_maps_are_refused():
+    space = SpaceSpec(3, 2)
+    with pytest.raises(ValueError):
+        PointSet.from_points(space, [(0, 0.5), (1.9, 1)])
+    with pytest.raises(ValueError):
+        (0.5, 0) in PointSet.full(space)
+    assert (np.int64(1), 0) in PointSet.full(space)
+    s = PointSet.from_indices(space, [0, 4])
+    for m, v in (([[1.5, 0], [0, 1]], [0, 0]), ([[1, 0], [0, 1]], [0.5, 0])):
+        with pytest.raises(ValueError):
+            apply_affine(s, m, v)
 
 
 def test_bits_are_frozen():

@@ -229,6 +229,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SearchConfig(time_budget=bad)
     assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
+    # a bool would read as a 1-second budget, and a string fail only at search time
+    for bad in (True, "1"):
+        with pytest.raises(ValueError):
+            SearchConfig(time_budget=bad)
+    assert SearchConfig(time_budget=2).time_budget == 2
     with pytest.raises(ValueError):
         max_free_exact(5, 2, 2)
 
