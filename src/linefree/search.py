@@ -292,6 +292,12 @@ class _Budget:
 class _Engine:
     """One depth-first exploration over a fixed prefix of decisions.
 
+    dfs runs on an explicit stack, one Python frame per search rather
+    than one per node: its depth is bounded by the number of points, not
+    by Python's recursion limit, and its cost does not grow with the
+    caller's stack depth (CPython 3.11 maps and frees a frame chunk each
+    time a recursion crosses a chunk boundary).
+
     framed: apply the fix_translation frame rules and the orbit check of
     its diagonal scalings (see SearchConfig).
     Each line l carries a cap on its excluded points, out_cap[l]: p
@@ -592,9 +598,12 @@ class _Engine:
             return tuple(q for q, s in enumerate(self.status) if s != OUT)
         return None
 
-    def dfs(self, framing: bool = True) -> None:
-        """Search below the current node; framing as in _pick, and while it
-        holds the node is cut unless _orbit_ok."""
+    def _expand(self, framing: bool) -> int:
+        """Count the current node; the point to branch on, or -1 if it closes.
+
+        framing as in _pick, and while it holds the node is cut unless
+        _orbit_ok.  A leaf larger than the incumbent replaces it.
+        """
         if not self.grant:
             self.grant = self.budget.draw()
             if not self.grant:
@@ -603,25 +612,46 @@ class _Engine:
         self.nodes += 1
         if framing and not self._orbit_ok():
             self.orbit_prunes += 1
-            return
+            return -1
         most_need = max(self.class_need)
         leaf = self._leaf(most_need)
         if leaf is not None:
             if len(leaf) > self.best_size:  # a tie never replaces
                 self.best_size, self.best_set = len(leaf), leaf
-            return
+            return -1
         if self.cur_in + self._upper_extra(most_need) <= self.best_size:
             self.bound_prunes += 1
-            return
-        q = self._pick(framing)
-        framing = self.axis[q] != 0  # a later pick may still be an axis point
-        mark = len(self.trail)
-        if self._set_in(q):
-            self.dfs(framing)
-        self._undo_to(mark)
-        if self._set_out(q):
-            self.dfs(framing)
-        self._undo_to(mark)
+            return -1
+        return self._pick(framing)
+
+    def dfs(self) -> None:
+        """Search below the current node, in-branch first.
+
+        pending holds (point, trail mark, framing) for each node on the
+        path whose out-branch has not run yet.  A closed node resumes the
+        deepest of them: undo to its mark, then exclude its point.  One
+        undo to an ancestor's mark pops the same trail entries, in the
+        same order, as the nested undos of the nodes below it.
+        """
+        trail, axis = self.trail, self.axis
+        root = len(trail)
+        pending: list[tuple[int, int, bool]] = []
+        framing = True
+        while True:
+            q = self._expand(framing)
+            if q >= 0:
+                framing = axis[q] != 0  # a later pick may still be an axis point
+                pending.append((q, len(trail), framing))
+                if self._set_in(q):
+                    continue
+            while pending:  # the node closed, or its in-branch contradicts
+                q, mark, framing = pending.pop()
+                self._undo_to(mark)
+                if self._set_out(q):
+                    break
+            else:
+                self._undo_to(root)
+                return
 
     def run_prefix(self, prefix: tuple[tuple[int, int], ...]) -> bool:
         """Apply forced decisions (op, point); False if contradictory."""

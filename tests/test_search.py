@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -9,12 +10,15 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linefree import search
 from linefree.constructions import box
@@ -381,6 +385,106 @@ def test_line_updates_are_pinned(p, n, k, budget, fix, updates):
     # excluded point under the frame
     budgets = {} if budget is None else {"node_budget": budget}
     assert max_free_exact(p, n, k, fix_translation=fix, **budgets).line_updates == updates
+
+
+# --- the depth-first search on an explicit stack -------------------------------------
+
+
+class RecursiveEngine(search._Engine):
+    """The engine with one recursive dfs call per node, the reference that
+    the explicit-stack dfs must match node for node and count for count."""
+
+    def dfs(self, framing: bool = True) -> None:
+        """Search below the current node; framing as in _pick, and while it
+        holds the node is cut unless _orbit_ok."""
+        if not self.grant:
+            self.grant = self.budget.draw()
+            if not self.grant:
+                raise search._BudgetExhausted
+        self.grant -= 1
+        self.nodes += 1
+        if framing and not self._orbit_ok():
+            self.orbit_prunes += 1
+            return
+        most_need = max(self.class_need)
+        leaf = self._leaf(most_need)
+        if leaf is not None:
+            if len(leaf) > self.best_size:  # a tie never replaces
+                self.best_size, self.best_set = len(leaf), leaf
+            return
+        if self.cur_in + self._upper_extra(most_need) <= self.best_size:
+            self.bound_prunes += 1
+            return
+        q = self._pick(framing)
+        framing = self.axis[q] != 0  # a later pick may still be an axis point
+        mark = len(self.trail)
+        if self._set_in(q):
+            self.dfs(framing)
+        self._undo_to(mark)
+        if self._set_out(q):
+            self.dfs(framing)
+        self._undo_to(mark)
+
+
+def reference_tree(ws, framed, start_size, nodes, prefix):
+    """_run_tree's result, searched by RecursiveEngine."""
+    eng = RecursiveEngine(ws, start_size, search._Budget(nodes, None), framed)
+    try:
+        if eng.run_prefix(prefix):
+            eng.dfs()
+        exhausted = True
+    except search._BudgetExhausted:
+        exhausted = False
+    return eng.best_size, eng.best_set, exhausted, tuple(getattr(eng, c) for c in search.COUNTS)
+
+
+window_system = functools.cache(search._WindowSystem)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    space=st.sampled_from([(3, 2, 3), (5, 2, 3), (5, 2, 4), (5, 2, 5), (3, 3, 3), (7, 2, 7)]),
+    framed=st.booleans(),
+    nodes=st.integers(1, 5_000),
+    warm=st.booleans(),
+)
+def test_explicit_stack_search_matches_the_recursive_reference(space, framed, nodes, warm):
+    # same best size and set, same exhaustion and every count, whether the
+    # budget runs out or the tree does, from the default box or from no
+    # incumbent at all
+    p, n, k = space
+    ws = window_system(p, n, k)
+    start = box(p, n, k - 1).size if warm else -1
+    prefix = search._frame_prefix(SearchConfig(fix_translation=framed), p, n)
+    got = search._run_tree(ws, framed, start, search._Budget(nodes, None), prefix)
+    assert got == reference_tree(ws, framed, start, nodes, prefix)
+
+
+@pytest.mark.parametrize("p, n, k, box_size", [(7, 4, 7, 6**4), (13, 3, 13, 12**3)])
+def test_deep_unframed_searches_stay_within_the_recursion_limit(p, n, k, box_size):
+    # these dives go past a thousand decisions, deeper than Python's default
+    # recursion limit; one frame per node raised RecursionError here
+    r = heuristic_lower(p, n, k, node_budget=2000)
+    assert (r.optimal, r.nodes) == (False, 2000)
+    assert r.size >= box_size
+
+
+def test_search_depth_does_not_use_the_call_stack():
+    # the pinned budgeted F_7^3 run with 60 frames of headroom: room for
+    # the calls below one node, not for one frame per decision on the path
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(sum(1 for _ in traceback.walk_stack(None)) + 60)
+    try:
+        r = heuristic_lower(7, 3, 7, node_budget=10_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
+    assert (r.nodes, r.bound_prunes, r.line_updates, digest) == (
+        10_000,
+        4_905,
+        110_930,
+        "cc1907c603ea91c45481aa9bca2abc6e5697a1adccf28b2c20131a09ce7835ed",
+    )
 
 
 # --- the line picked next -------------------------------------------------------
