@@ -189,7 +189,8 @@ def cmd_search(args) -> int:
         if args.timing:
             out.append(f"nodes: {res.nodes}")
             out.append(
-                f"prunes: {res.bound_prunes} by the size bound, {res.frame_prunes} by the frame, "
+                f"prunes: {res.bound_prunes} by the size bound, {res.degree_prunes} by the "
+                f"degree bound, {res.frame_prunes} by the frame, "
                 f"{res.orbit_prunes} by the frame's scaling orbits"
             )
             out.append(f"line updates: {res.line_updates}")

@@ -8,8 +8,9 @@ axis patterns that are least under the frame's diagonal scalings.  It
 propagates the rule that a k-window (the point set of a k-term
 progression) with k-1 chosen points excludes its remaining points, and
 prunes with the cardinality bound tightened by a per-line capacity
-bound.  Results are deterministic for a fixed configuration, including
-the reported set.
+bound; in the plane, also with a degree-sorted covering bound on the
+exclusions that the open lines still need.  Results are deterministic
+for a fixed configuration, including the reported set.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class SearchConfig:
 
 
 # a search's counts, as named on SearchResult and _Engine, summed over subtrees
-COUNTS = ("nodes", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates")
+COUNTS = ("nodes", "bound_prunes", "degree_prunes", "frame_prunes", "orbit_prunes", "line_updates")
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,7 @@ class SearchResult:
     nodes: int
     elapsed: float
     bound_prunes: int  # nodes cut by the size bound
+    degree_prunes: int  # nodes cut by the plane's degree-sorted covering bound
     frame_prunes: int  # branches cut by a fix_translation frame rule
     orbit_prunes: int  # nodes cut by the frame's diagonal-scaling orbit check
     line_updates: int  # per-line count updates by applying and undoing decisions
@@ -139,6 +141,7 @@ class SearchResult:
             "nodes": self.nodes,
             "elapsed": round(self.elapsed, 3),
             "bound_prunes": self.bound_prunes,
+            "degree_prunes": self.degree_prunes,
             "frame_prunes": self.frame_prunes,
             "orbit_prunes": self.orbit_prunes,
             "line_updates": self.line_updates,
@@ -340,7 +343,30 @@ class _Engine:
       exactly the lines in q's trail entry.
     - n = 1 with ws.fused: line_cap is k - 1, so need >= 1 and the line
       stays open, and propagating, until it holds need excluded points.
+
+    In the plane (n = 2) a degree-sorted covering bound backs the class
+    bound, of the kind vertex-cover solvers use.  deg[u] is the number
+    of open lines through u, kept for every point, and deg_hist[d] the
+    number of undecided points with deg d.  The open lines still need
+    N = sum(class_need) exclusions, and excluding u serves at most
+    deg[u] of them, so the x largest degrees must sum to at least N for
+    x exclusions to do.  A line closes only in _set_out, as its out
+    count reaches need, which lowers deg on its points in the same loop;
+    _undo_to raises it again where the line reopens, and deciding or
+    undeciding a point moves it out of or into the histogram.  The 3-D
+    runs stop at a node budget, so there the bound would only add cost
+    per node; deg and deg_hist are empty for n != 2.
+
+    __slots__: CPython 3.11's fast path for instance attributes held in a
+    dict ends at 30 attributes, and the engine has 30; slots keep every
+    attribute read on a fast path whatever their number.
     """
+
+    __slots__ = (
+        "ws k status line_in win_in line_out need class_need clamp line_key undec_total "
+        "cur_in trail out_cap framed axis axis_order axes deg deg_hist best_size best_set "
+        "budget grant"
+    ).split() + list(COUNTS)
 
     UNDEC, IN, OUT = 0, 1, 2
 
@@ -368,10 +394,18 @@ class _Engine:
         self.axis = ws.axis if framed else bytes(ws.num_points)
         self.axis_order = ws.axis_order if framed else ()
         self.axes = ws.axes if framed else ()
+        if ws.n == 2:  # a point lies on p + 1 lines, all open at the root unless need is 0
+            root_deg = ws.p + 1 if self.need else 0
+            self.deg = [root_deg] * ws.num_points
+            self.deg_hist = [0] * (ws.p + 2)
+            self.deg_hist[root_deg] = ws.num_points
+        else:
+            self.deg = self.deg_hist = []
         self.best_size = best_size
         self.best_set: tuple[int, ...] | None = None
         self.nodes = 0
         self.bound_prunes = 0
+        self.degree_prunes = 0
         self.frame_prunes = 0
         self.orbit_prunes = 0
         self.line_updates = 0
@@ -386,6 +420,8 @@ class _Engine:
         status[q] = self.IN
         self.undec_total -= 1
         self.cur_in += 1
+        if self.deg_hist:
+            self.deg_hist[self.deg[q]] -= 1
         lines = ws.point_lines[q]
         if ws.fused:
             keys = operator.itemgetter(*lines)(key)
@@ -430,9 +466,12 @@ class _Engine:
         """Exclude q; returns False if a line now exceeds its frame cap."""
         ws, need, cap, key, clamp = self.ws, self.need, self.out_cap, self.line_key, self.clamp
         line_in, line_out, class_need = self.line_in, self.line_out, self.class_need
+        status, deg, hist = self.status, self.deg, self.deg_hist
         lpc = ws.lines_per_class  # line l lies in parallel class l // lpc
-        self.status[q] = self.OUT
+        status[q] = self.OUT
         self.undec_total -= 1
+        if hist:
+            hist[deg[q]] -= 1
         lines = ws.point_lines[q]
         if not self.framed:
             keys = operator.itemgetter(*lines)(key)
@@ -447,7 +486,17 @@ class _Engine:
             # cap p - in is at least need: only out > need can exceed one
             if out <= need:
                 class_need[l // lpc] -= 1
-                key[l] = clamp[line_in[l] + out] if out < need else 0
+                if out < need:
+                    key[l] = clamp[line_in[l] + out]
+                    continue
+                key[l] = 0  # the line closes
+                if hist:
+                    for m in ws.line_points[l]:
+                        d = deg[m]
+                        deg[m] = d - 1
+                        if not status[m]:  # undecided
+                            hist[d] -= 1
+                            hist[d - 1] += 1
             elif out > cap[l]:
                 ok = False
         if not ok:
@@ -500,22 +549,34 @@ class _Engine:
         trail, status, win_in = self.trail, self.status, self.win_in
         line_in, line_out = self.line_in, self.line_out
         key, clamp, class_need = self.line_key, self.clamp, self.class_need
+        deg, hist = self.deg, self.deg_hist
         while len(trail) > mark:
             op, q, lines = trail.pop()
             self.line_updates += len(lines)
             if op == 2:
-                status[q] = self.UNDEC
-                self.undec_total += 1
                 for l in lines:
                     out = line_out[l] - 1
                     line_out[l] = out
-                    if out < need:  # open again
+                    if out < need:  # open
                         class_need[l // lpc] += 1
                         key[l] = clamp[line_in[l] + out]
+                        if hist and out == need - 1:  # reopened; q re-enters the histogram below
+                            for m in ws.line_points[l]:
+                                d = deg[m]
+                                deg[m] = d + 1
+                                if not status[m]:
+                                    hist[d] -= 1
+                                    hist[d + 1] += 1
+                status[q] = self.UNDEC
+                self.undec_total += 1
+                if hist:
+                    hist[deg[q]] += 1
             elif op == 1:
                 status[q] = self.UNDEC
                 self.undec_total += 1
                 self.cur_in -= 1
+                if hist:
+                    hist[deg[q]] += 1
                 for l in lines:
                     c = line_in[l] - 1
                     line_in[l] = c
@@ -540,6 +601,24 @@ class _Engine:
         this single O(classes) pass is the whole bound.
         """
         return self.undec_total - most_need if self.ws.n > 1 else self.undec_total
+
+    def _under_covered(self, most: int) -> bool:
+        """Whether the `most` largest degrees sum to less than sum(class_need).
+
+        A larger set leaves at most `most` of the undecided points to
+        exclude; each serves at most deg of the outstanding line needs.
+        The walk down deg_hist takes at most p + 1 steps.
+        """
+        hist, short = self.deg_hist, sum(self.class_need)
+        for d in range(len(hist) - 1, 0, -1):
+            c = hist[d]
+            if c >= most:
+                return d * most < short
+            short -= c * d
+            if short <= 0:
+                return False
+            most -= c
+        return short > 0  # the undecided points left serve no open line
 
     def _pick(self, framing: bool = True) -> int:
         """The next point to decide.
@@ -619,8 +698,12 @@ class _Engine:
             if len(leaf) > self.best_size:  # a tie never replaces
                 self.best_size, self.best_set = len(leaf), leaf
             return -1
-        if self.cur_in + self._upper_extra(most_need) <= self.best_size:
+        room = self.cur_in + self._upper_extra(most_need) - self.best_size
+        if room <= 0:
             self.bound_prunes += 1
+            return -1
+        if self.deg_hist and self._under_covered(room + most_need - 1):
+            self.degree_prunes += 1
             return -1
         return self._pick(framing)
 

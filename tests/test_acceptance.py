@@ -136,7 +136,8 @@ def test_criterion_3_f7_plane_k6():
     # a proof of seconds at two worker processes, with the frame's orbit check
     r = max_free_exact(7, 2, 6, ACCEPT_CFG, node_budget=400_000_000, threads=2)
     assert r.size == 29 and r.optimal
-    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == (3_107_421, 847_680, 1_412_058, 0)
+    counts = (r.nodes, r.bound_prunes, r.degree_prunes, r.frame_prunes, r.orbit_prunes)
+    assert counts == (1_331_710, 41_784, 231_496, 785_147, 0)
     assert find_progression(r.best, 6) is None
     assert r.elapsed < 7200.0
 
@@ -145,17 +146,17 @@ def test_criterion_3_f7_plane_k6():
 @pytest.mark.parametrize(
     "k, size, counts",
     [
-        (4, 18, (1_760_997, 781_546, 197_927, 0)),
-        (5, 22, (4_717_280, 1_158_833, 2_399_678, 0)),
+        (4, 18, (1_494_117, 567_125, 93_987, 171_915, 0)),
+        (5, 22, (2_794_811, 102_720, 306_978, 1_975_481, 0)),
     ],
 )
 def test_criterion_3_f7_plane_k4_k5(k, size, counts):
-    # r_4(F_7^2) = 18 and r_5(F_7^2) = 22: (nodes, bound, frame and orbit
-    # prunes) at two worker processes, whose split decides both axes, so
-    # the split itself drops the subtrees that the orbit check would cut
+    # r_4(F_7^2) = 18 and r_5(F_7^2) = 22: (nodes, bound, degree, frame and
+    # orbit prunes) at two worker processes, whose split decides both axes,
+    # so the split itself drops the subtrees that the orbit check would cut
     r = max_free_exact(7, 2, k, ACCEPT_CFG, node_budget=400_000_000, threads=2)
     assert r.size == size and r.optimal
-    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == counts
+    assert (r.nodes, r.bound_prunes, r.degree_prunes, r.frame_prunes, r.orbit_prunes) == counts
     assert find_progression(r.best, k) is None
 
 

@@ -129,20 +129,23 @@ def test_search_json_is_byte_identical_across_runs():
 
 
 def test_search_timing_flag_adds_counters():
-    counters = {"nodes", "elapsed", "bound_prunes", "frame_prunes", "orbit_prunes", "line_updates"}
+    counters = {"elapsed", "nodes", "line_updates"}
+    counters |= {f"{rule}_prunes" for rule in ("bound", "degree", "frame", "orbit")}
     doc = run_json("search", "-p", "3", "-n", "2", "-k", "3", "--timing")
     assert counters <= set(doc)
     assert not counters & set(run_json("search", "-p", "3", "-n", "2", "-k", "3"))
     text = run("search", "-p", "5", "-n", "2", "-k", "4", "--timing").stdout
     assert "nodes: " in text and "by the size bound" in text and "scaling orbits" in text
+    assert "by the degree bound" in text
     assert "line updates: " in text
 
 
 def test_search_runs_the_framed_search():
     # the serial framed proof of r_7(F_7^2) = 36 and its pinned counts
     doc = run_json("search", "-p", "7", "-n", "2", "-k", "7", "--timing")
-    assert (doc["size"], doc["optimal"], doc["nodes"]) == (36, True, 24_707)
-    assert (doc["bound_prunes"], doc["frame_prunes"], doc["orbit_prunes"]) == (7_406, 9_654, 121)
+    assert (doc["size"], doc["optimal"], doc["nodes"]) == (36, True, 5_170)
+    prunes = ("bound_prunes", "degree_prunes", "frame_prunes", "orbit_prunes")
+    assert tuple(doc[key] for key in prunes) == (193, 1_529, 1_529, 99)
 
 
 def test_search_node_budget_exhaustion_exit_code():
@@ -422,8 +425,8 @@ CLI_PINS = {
     "verify -k 3 full.grid --json": "fc131bf879f357e872426ed73c24509cb3c61fe29431d554495bb16fde57a722",
     "search -p 5 -n 2 -k 5": "09801556e376ca00b1a7c17836d406f2eb49afcbc0beceb4bf7496bdc3618d6f",
     "search -p 5 -n 2 -k 5 --json": "89efed17e4445bf97ee1d3fab98ea34b296477372feda81e1acd232894e36fd4",
-    "search -p 5 -n 2 -k 5 --timing": "1a14636b3185de7b202eca9cc3300735882ebfd49d9d2f97d2989404d5b96e80",
-    "search -p 5 -n 2 -k 5 --json --timing": "85ed2f1e5d20b027e309a21f4698d7492b6ae72c7b2956b51e4197972a39585f",
+    "search -p 5 -n 2 -k 5 --timing": "ec3fe225ebc7860fc483610e583fa2c852b113f7ed89e4401323a218655c2bc8",
+    "search -p 5 -n 2 -k 5 --json --timing": "88d0466af58f6d3175ca4b328ea65d72b27631bab90187b3fccec01993203b8f",
     "search -p 5 -n 1 -k 5": "1c62201f1f50ecd6f8dc6a7943a97a17d15c679d2e6e3182715039a97f3c7971",
     "bounds -p 5 -n 3": "2c5ba0c9d59897748b570adf79a4150a3f75959f321164f9e465106a84bd8554",
     "bounds -p 7 -n 3 --json": "e66780c0f1480856e875504c32c1251d9de6a175f01f7ca8191706ea2a290f80",

@@ -322,18 +322,18 @@ def test_root_split_stays_bounded_when_the_axes_are_long():
 @pytest.mark.parametrize(
     "p, n, k, counts",
     [
-        (5, 2, 3, (482, 181, 89, 8)),
-        (5, 2, 4, (991, 235, 494, 11)),
-        (5, 2, 5, (143, 39, 50, 8)),
-        (3, 3, 3, (3418, 1648, 5, 0)),  # no scaling of F_3 moves a pattern
-        (7, 2, 7, (24707, 7406, 9654, 121)),
+        (5, 2, 3, (301, 44, 53, 86, 8)),
+        (5, 2, 4, (864, 139, 57, 445, 11)),
+        (5, 2, 5, (60, 5, 9, 23, 5)),
+        (3, 3, 3, (3418, 1648, 0, 5, 0)),  # no scaling of F_3 moves a pattern
+        (7, 2, 7, (5170, 193, 1529, 1529, 99)),
     ],
 )
 def test_frame_node_and_prune_counts_are_pinned(p, n, k, counts):
-    # (nodes, bound prunes, frame prunes, orbit prunes) of a serial framed proof
+    # (nodes, bound, degree, frame and orbit prunes) of a serial framed proof
     r = max_free_exact(p, n, k, fix_translation=True)
     assert r.optimal
-    assert (r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes) == counts
+    assert (r.nodes, r.bound_prunes, r.degree_prunes, r.frame_prunes, r.orbit_prunes) == counts
 
 
 @pytest.mark.parametrize(
@@ -353,21 +353,22 @@ def test_budgeted_3d_searches_are_pinned(p, n, k, pin):
 @pytest.mark.parametrize(
     "p, n, k, fix, budget, pin",
     [
-        (5, 2, 4, False, None, (11, 37_297, 17_740, 0, 0, "dde13eef463c09ecb9b81177257423679c280334171c0598b4dc679d83da103d")),
-        (7, 2, 6, True, 300_000, (27, 300_000, 69_729, 160_466, 30, "48e7d4b5620301b42a8c058663c2880e035676b6d4ec1a3a79598de15627858e")),
-        (7, 2, 6, False, 200_000, (29, 200_000, 99_932, 0, 0, "b2ee04afcd3d5c34af94a8a2c76e26065bc90d6e1af37e8d135064b7e58ed0f7")),
-        (5, 3, 4, True, 50_000, (27, 50_000, 0, 49_957, 11, "117b1995341c183f55b3d2bf37056028ca40dd5b35e08ff340138aaeda07d978")),
-        (11, 2, 10, True, 50_000, (81, 50_000, 0, 49_958, 0, "042073da07c9f35625030fd214c18dbecda37e37c27aae5f036353486df80ac9")),
+        (5, 2, 4, False, None, (11, 12_717, 2_098, 4_198, 0, 0, "dde13eef463c09ecb9b81177257423679c280334171c0598b4dc679d83da103d")),
+        (7, 2, 6, True, 300_000, (27, 300_000, 10_220, 65_298, 148_875, 36, "48e7d4b5620301b42a8c058663c2880e035676b6d4ec1a3a79598de15627858e")),
+        (7, 2, 6, False, 200_000, (29, 200_000, 20_216, 79_771, 0, 0, "b2ee04afcd3d5c34af94a8a2c76e26065bc90d6e1af37e8d135064b7e58ed0f7")),
+        (5, 3, 4, True, 50_000, (27, 50_000, 0, 0, 49_957, 11, "117b1995341c183f55b3d2bf37056028ca40dd5b35e08ff340138aaeda07d978")),
+        (11, 2, 10, True, 50_000, (81, 50_000, 0, 0, 49_958, 0, "042073da07c9f35625030fd214c18dbecda37e37c27aae5f036353486df80ac9")),
     ],
 )
 def test_k_p_minus_1_searches_are_pinned(p, n, k, fix, budget, pin):
-    # (size, nodes, bound prunes, frame prunes, orbit prunes, sha256 of the
+    # (size, nodes, bound, degree, frame and orbit prunes, sha256 of the
     # returned bits) of line-cap searches; the same as with a window table
     # per line
     budgets = {} if budget is None else {"node_budget": budget}
     r = max_free_exact(p, n, k, fix_translation=fix, **budgets)
     digest = hashlib.sha256(r.best.bits.tobytes()).hexdigest()
-    assert (r.size, r.nodes, r.bound_prunes, r.frame_prunes, r.orbit_prunes, digest) == pin
+    counts = (r.nodes, r.bound_prunes, r.degree_prunes, r.frame_prunes, r.orbit_prunes)
+    assert (r.size, *counts, digest) == pin
     assert r.optimal == (budget is None)
 
 
@@ -376,7 +377,7 @@ def test_k_p_minus_1_searches_are_pinned(p, n, k, fix, budget, pin):
     [
         (5, 3, 5, 50_000, False, 334_324),  # 4,404,666 if every line of q were updated
         (7, 3, 7, 10_000, False, 110_930),  # 1,403,910
-        (7, 2, 7, None, True, 442_376),  # 641,416
+        (7, 2, 7, None, True, 87_440),  # 122,440
     ],
 )
 def test_line_updates_are_pinned(p, n, k, budget, fix, updates):
@@ -395,27 +396,10 @@ class RecursiveEngine(search._Engine):
     the explicit-stack dfs must match node for node and count for count."""
 
     def dfs(self, framing: bool = True) -> None:
-        """Search below the current node; framing as in _pick, and while it
-        holds the node is cut unless _orbit_ok."""
-        if not self.grant:
-            self.grant = self.budget.draw()
-            if not self.grant:
-                raise search._BudgetExhausted
-        self.grant -= 1
-        self.nodes += 1
-        if framing and not self._orbit_ok():
-            self.orbit_prunes += 1
+        """Search below the current node; framing as in _expand."""
+        q = self._expand(framing)
+        if q < 0:
             return
-        most_need = max(self.class_need)
-        leaf = self._leaf(most_need)
-        if leaf is not None:
-            if len(leaf) > self.best_size:  # a tie never replaces
-                self.best_size, self.best_set = len(leaf), leaf
-            return
-        if self.cur_in + self._upper_extra(most_need) <= self.best_size:
-            self.bound_prunes += 1
-            return
-        q = self._pick(framing)
         framing = self.axis[q] != 0  # a later pick may still be an axis point
         mark = len(self.trail)
         if self._set_in(q):
@@ -578,8 +562,9 @@ def rebuilt_caps(eng, st):
 
 
 def check_live_lines(eng, applied, settled):
-    """The engine's open lines, keys, needs and trail against a rebuild
-    from status; settled: the last step succeeded, so out_cap is current."""
+    """The engine's open lines, keys, needs, trail and plane degrees against
+    a rebuild from status; settled: the last step succeeded, so out_cap is
+    current."""
     ws, p, need = eng.ws, eng.ws.p, eng.need
     st = np.frombuffer(bytes(eng.status), dtype=np.uint8)
     on_lines = st[np.array(ws.line_points)]
@@ -602,6 +587,24 @@ def check_live_lines(eng, applied, settled):
             assert entry == applied[i]
     if settled:
         assert eng.out_cap == rebuilt_caps(eng, st)
+    if ws.n == 2:
+        assert (eng.deg, eng.deg_hist) == recounted_degrees(eng, np.array(ws.line_points))
+
+
+class SpiedEngine(search._Engine):
+    """The engine, recording the trail entry each decision should make."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.applied: dict[int, tuple] = {}  # trail position -> expected entry
+
+    def _set_in(self, q):
+        self.applied[len(self.trail)] = (1, q, applied_lines(self, 1, q))
+        return super()._set_in(q)
+
+    def _set_out(self, q):
+        self.applied[len(self.trail)] = (2, q, applied_lines(self, 2, q))
+        return super()._set_out(q)
 
 
 def live_state(eng):
@@ -622,17 +625,8 @@ def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
     ws = search._WindowSystem(p, n, k)
     rng = random.Random(p * 100 + n * 10 + k + framed)
     for _ in range(3):
-        eng = search._Engine(ws, -1, framed=framed)
-        applied: dict[int, tuple] = {}  # trail position -> expected entry
-
-        def spy(op, decide):
-            def apply(q):
-                applied[len(eng.trail)] = (op, q, applied_lines(eng, op, q))
-                return decide(q)
-
-            return apply
-
-        eng._set_in, eng._set_out = spy(1, eng._set_in), spy(2, eng._set_out)
+        eng = SpiedEngine(ws, -1, framed=framed)
+        applied = eng.applied
         root = live_state(eng)
         assert eng.run_prefix(search._frame_prefix(SearchConfig(fix_translation=framed), p, n))
         check_live_lines(eng, applied, True)
@@ -655,6 +649,65 @@ def test_only_open_lines_are_updated_and_undone_exactly(p, n, k, framed):
                 eng._undo_to(marks.pop())
         eng._undo_to(0)
         assert live_state(eng) == root
+
+
+def recounted_degrees(eng, lines):
+    """deg and deg_hist rebuilt from status: deg[u] counts the lines through
+    u with fewer than need excluded points, and the histogram the undecided
+    points by deg.  lines: the points of each line, one row each."""
+    st = np.frombuffer(bytes(eng.status), dtype=np.uint8)
+    open_lines = lines[(st[lines] == eng.OUT).sum(1) < eng.need]
+    deg = np.bincount(open_lines.ravel(), minlength=eng.ws.num_points)
+    return deg.tolist(), np.bincount(deg[st == eng.UNDEC], minlength=eng.ws.p + 2).tolist()
+
+
+class DegreeCheckedEngine(search._Engine):
+    """The engine, checking deg and deg_hist against a recount at every node."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lines = np.array(self.ws.line_points)
+        self.checked = 0
+
+    def _expand(self, framing):
+        assert (self.deg, self.deg_hist) == recounted_degrees(self, self.lines)
+        q = super()._expand(framing)
+        self.checked += 1  # a node, once the budget has granted it
+        return q
+
+
+@pytest.mark.parametrize("framed", [False, True])
+@pytest.mark.parametrize("p, k", [(3, 3), (5, 3), (5, 4), (5, 5), (7, 4), (7, 7)])
+def test_plane_degrees_match_a_recount_at_every_node(p, k, framed):
+    # deg and its histogram at every node of a plane search, from the warm
+    # box, against a rebuild from status, and back at their root values
+    # once dfs returns; the trees past 20,000 nodes stop on their budget,
+    # and undoing to the root restores the root values as well
+    ws = window_system(p, 2, k)
+    eng = DegreeCheckedEngine(ws, box(p, 2, k - 1).size, search._Budget(20_000, None), framed)
+    assert eng.run_prefix(search._frame_prefix(SearchConfig(fix_translation=framed), p, 2))
+    root, mark = (list(eng.deg), list(eng.deg_hist)), len(eng.trail)
+    assert root == recounted_degrees(eng, eng.lines)
+    try:
+        eng.dfs()
+    except search._BudgetExhausted:
+        eng._undo_to(mark)
+    assert (eng.deg, eng.deg_hist) == root
+    assert eng.checked == eng.nodes > 0
+
+
+def test_degrees_are_kept_in_the_plane_only():
+    for p, n, k in [(7, 1, 7), (3, 3, 3), (5, 3, 4)]:
+        eng = search._Engine(window_system(p, n, k), -1)
+        assert eng.deg == eng.deg_hist == []
+        assert max_free_exact(p, n, k, node_budget=2_000).degree_prunes == 0
+
+
+def test_engine_attributes_live_in_slots():
+    # past 30 attributes an instance dict leaves CPython 3.11's fast
+    # attribute reads; slots keep every engine attribute on them
+    eng = search._Engine(window_system(5, 2, 5), -1)
+    assert not hasattr(eng, "__dict__")
 
 
 def test_prune_counts_sum_over_workers(monkeypatch):
@@ -781,9 +834,9 @@ def test_orbit_check_cuts_a_non_least_axis_pattern_at_the_subtree_root(axis, lea
     ws = search._WindowSystem(p, 2, p)
     _, best, exhausted, counts = search._run_tree(ws, True, -1, search._Budget(1, None), prefix)
     if least:  # the root passes, and the next node finds the budget spent
-        assert not exhausted and counts[:4] == (1, 0, 0, 0)
+        assert not exhausted and counts[:5] == (1, 0, 0, 0, 0)
     else:
-        assert exhausted and best is None and counts[:4] == (1, 0, 0, 1)
+        assert exhausted and best is None and counts[:5] == (1, 0, 0, 0, 1)
     # the split ships no subtree that the engine would cut at its root
     for pre in search._root_prefixes(ws, SearchConfig(fix_translation=True), 2):
         eng = search._Engine(ws, -1, framed=True)
@@ -827,7 +880,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
 
 def test_import_leaves_multiprocessing_out():
     # only a search that forks workers imports multiprocessing; framed
-    # (7,2,7) takes 24,707 nodes, under _INLINE_NODES, so at 2 workers the
+    # (7,2,7) takes 5,170 nodes, under _INLINE_NODES, so at 2 workers the
     # calling process runs the serial search and never splits
     src = Path(search.__file__).resolve().parents[1]
     code = (
@@ -847,29 +900,29 @@ def test_import_leaves_multiprocessing_out():
 
 
 def test_handover_to_workers_keeps_every_count(monkeypatch):
-    # every cutoff below the tree's 37,297 serial nodes (the default too)
-    # drops the serial attempt and gives the same split result; a cutoff
-    # above it gives the serial search (pinned in
+    # every cutoff below the tree's 12,717 serial nodes drops the serial
+    # attempt and gives the same split result; a cutoff above it (the
+    # default too) gives the serial search (pinned in
     # test_k_p_minus_1_searches_are_pinned)
     def run(**kw):
         r = max_free_exact(5, 2, 4, **kw)
         return (r.size, hashlib.sha256(r.best.bits.tobytes()).hexdigest(), *_counts(r))
 
     runs = []
-    for cutoff in (0, 300, search._INLINE_NODES, 10**9):
+    for cutoff in (0, 300, 5_000, search._INLINE_NODES, 10**9):
         monkeypatch.setattr(search, "_INLINE_NODES", cutoff)
         runs.append(run(threads=2))
     assert runs[0] == runs[1] == runs[2]
     size, _, nodes, *_ = runs[0]
-    assert (size, nodes) == (11, 37_386)
-    assert runs[3] == run()
+    assert (size, nodes) == (11, 12_830)
+    assert runs[3] == runs[4] == run()
 
 
-@pytest.mark.parametrize("threads, budget, inline_nodes", [(2, 2_000, [500]), (4, 20_000, [500])])
+@pytest.mark.parametrize("threads, budget, inline_nodes", [(2, 2_000, [500]), (4, 10_000, [500])])
 def test_node_budget_holds_across_the_handover(monkeypatch, threads, budget, inline_nodes):
     # the calling process makes exactly one serial attempt of the 500-node
     # cutoff and drops it; the workers then draw the whole budget from a
-    # shared allowance (at 20,000, in several grants over 4 workers)
+    # shared allowance (at 10,000, in several grants over 4 workers)
     monkeypatch.setattr(search, "_INLINE_NODES", 500)
     inline = []  # nodes of the trees searched in this process; a worker's calls stay in the worker
     search_tree = search._run_tree
